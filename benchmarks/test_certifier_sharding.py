@@ -43,7 +43,7 @@ from conftest import (
 )
 
 from repro.analysis.report import format_table
-from repro.cluster.nodes import SimCertifierNode, SimShardedCertifierNode
+from repro.cluster.nodes import SimCertifierNode
 from repro.core.certification import CertificationRequest
 from repro.core.config import ReplicationConfig, SystemKind
 from repro.core.sharding import HashPartitioner
@@ -88,7 +88,7 @@ def _client(env: Environment, node, rng, pools: list[list[int]],
             shard = rng.randrange(num_shards)
             pool = pools[shard]
             entries = [("t", rng.choice(pool)) for _ in range(ITEMS_PER_WRITESET)]
-        version = node.certifier.system_version.version
+        version = node.core.system_version.version
         request = CertificationRequest(
             tx_start_version=version,
             writeset=make_writeset(entries),
@@ -112,8 +112,7 @@ def _run_point(shards: int, cross_ratio: float) -> dict:
         certifier_shards=shards,
         certifier_max_flush_batch=SHARD_FLUSH_CAP,
     )
-    node_cls = SimShardedCertifierNode if shards > 1 else SimCertifierNode
-    node = node_cls(env, config, rng_streams, durability_enabled=True)
+    node = SimCertifierNode(env, config, rng_streams, durability_enabled=True)
     pools = _key_pools(shards)
     run_end = SHARD_WARMUP_MS + SHARD_MEASURE_MS
     counters = {"commits": 0, "aborts": 0,

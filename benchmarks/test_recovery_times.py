@@ -89,7 +89,7 @@ def test_functional_writeset_replay_throughput(benchmark):
         db.create_table("accounts", ["id"])
         store = CheckpointStore()
         store.add(db.dump())
-        report = recover_tashkent_mw_replica(store, certifier.log)
+        report = recover_tashkent_mw_replica(store, certifier.core)
         return report
 
     report = benchmark(recover)

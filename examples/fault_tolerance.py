@@ -10,20 +10,20 @@ components:
 2. a Base replica crashes — its own WAL recovers the durable prefix and the
    certifier log replay brings it up to date;
 3. a certifier node crashes and recovers via state transfer through the
-   Paxos-replicated certifier group, which keeps making progress as long as
-   a majority is up.
+   Paxos-replicated certifier group (one certification shard behind a
+   three-node group), which keeps making progress as long as a majority is
+   up.
 
 Run with:  python examples/fault_tolerance.py
 """
 
-from repro.consensus.group import ReplicatedCertifierGroup
+from repro.consensus.sharded import ReplicatedShardedCertifier
 from repro.core.certification import CertificationRequest
 from repro.core.writeset import make_writeset
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.database import Database
 from repro.engine.recovery import verify_same_state
 from repro.middleware.certifier import CertifierService
-from repro.recovery.certifier_recovery import recover_certifier_node
 from repro.recovery.replica_recovery import (
     recover_base_replica,
     recover_tashkent_mw_replica,
@@ -49,7 +49,7 @@ def demo_tashkent_mw_recovery() -> None:
     certifier = certified_bank(30)
     replica = Database("replica-0", synchronous_commit=False)
     replica.create_table("accounts", ["id"])
-    replay_writesets_from_certifier(replica, certifier.log)
+    replay_writesets_from_certifier(replica, certifier.core)
 
     store = CheckpointStore()
     store.add(replica.dump())
@@ -63,10 +63,10 @@ def demo_tashkent_mw_recovery() -> None:
     lost = replica.simulate_crash()
     print(f"   crash: {lost} unflushed WAL records discarded (durability was off)")
 
-    report = recover_tashkent_mw_replica(store, certifier.log)
+    report = recover_tashkent_mw_replica(store, certifier.core)
     healthy = Database("healthy", synchronous_commit=False)
     healthy.create_table("accounts", ["id"])
-    replay_writesets_from_certifier(healthy, certifier.log)
+    replay_writesets_from_certifier(healthy, certifier.core)
     print(f"   recovered from dump at version {report.used_checkpoint_version}, "
           f"replayed {report.writesets_replayed} writesets, "
           f"final version {report.final_version}")
@@ -78,11 +78,11 @@ def demo_base_recovery() -> None:
     certifier = certified_bank(20)
     replica = Database("replica-1", synchronous_commit=True)
     replica.create_table("accounts", ["id"])
-    for record in certifier.log.records_between(0, 12):
+    for record in certifier.core.records_after(0)[:12]:
         replica.apply_writeset(record.writeset, version=record.commit_version)
     schemas = [t.schema for t in replica.tables.values()]
     replica.simulate_crash()
-    report = recover_base_replica(replica.wal, schemas, certifier.log,
+    report = recover_base_replica(replica.wal, schemas, certifier.core,
                                   database_name="replica-1")
     print(f"   WAL redo reached version {report.recovered_to_version}; "
           f"{report.writesets_replayed} writesets replayed from the certifier log; "
@@ -91,23 +91,22 @@ def demo_base_recovery() -> None:
 
 def demo_certifier_recovery() -> None:
     print("3) Certifier node crash, leader election and state transfer")
-    group = ReplicatedCertifierGroup(3)
+    certifier = ReplicatedShardedCertifier(num_shards=1, nodes_per_shard=3)
+    groups = certifier.groups
     for i in range(10):
-        group.certify(CertificationRequest(
+        certifier.certify(CertificationRequest(
             tx_start_version=i, writeset=make_writeset([("accounts", i)]),
             replica_version=i))
-    leader = group.leader_id
-    group.crash_node(leader)
-    group.elect_new_leader()
-    print(f"   leader {leader} crashed; new leader is {group.leader_id}; "
-          f"quorum: {group.has_quorum()}")
+    leader = groups.crash_leader(0)
+    print(f"   leader {leader} crashed; new leader is {groups.ensure_leader(0)}; "
+          f"quorum: {groups.has_quorum(0)}")
     for i in range(10, 15):
-        group.certify(CertificationRequest(
+        certifier.certify(CertificationRequest(
             tx_start_version=i, writeset=make_writeset([("accounts", i)]),
             replica_version=i))
-    report = recover_certifier_node(group, leader)
-    print(f"   node {leader} recovered with {report.entries_transferred} log entries "
-          f"transferred; logs consistent: {group.logs_consistent()}\n")
+    transferred = groups.recover_node(0, leader)
+    print(f"   node {leader} recovered with {transferred} log entries "
+          f"transferred; logs consistent: {groups.logs_consistent(0)}\n")
 
 
 def main() -> None:

@@ -1,13 +1,13 @@
-"""Per-shard Paxos groups and the fault-tolerant sharded certifier.
+"""Per-shard Paxos groups and the fault-tolerant certifier.
 
-PR 4 sharded the certifier but left the paper's availability story
+The paper replicates the certifier across a small set of nodes with Paxos
 (Section 7: "Update transactions can be processed if a majority of certifier
-nodes are up and at least one replica is up") attached to the *single*
-certifier's :class:`~repro.consensus.group.ReplicatedCertifierGroup`.  This
-module closes that gap: every certification shard's log is replicated across
-its **own** Paxos group, and the :class:`ReplicatedShardedCertifier`
-coordinator is built so that everything it keeps in memory is
-reconstructible from the groups' chosen prefixes.
+nodes are up and at least one replica is up").  Here every certification
+shard's log is replicated across its **own** Paxos group, and the
+:class:`ReplicatedShardedCertifier` coordinator is built so that everything
+it keeps in memory is reconstructible from the groups' chosen prefixes.
+``num_shards=1`` is the paper's replicated certifier group: one log, one
+Paxos group, one leader.
 
 State model
 ===========
@@ -60,7 +60,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.consensus.group import GroupStats
 from repro.consensus.log import ReplicatedLog, ReplicatedLogNode
 from repro.core.certification import (
     CertificationDecision,
@@ -98,6 +97,15 @@ class ShardLogEntry:
     certified_back_to: int = 0
     #: Client-supplied idempotence token (exactly-once acknowledgement).
     tx_id: object = None
+
+
+@dataclass
+class GroupStats:
+    """Counters describing one shard group's replication activity."""
+
+    appended_records: int = 0
+    leader_changes: int = 0
+    state_transfers: int = 0
 
 
 @dataclass
@@ -242,6 +250,16 @@ class ShardPaxosGroups:
             )
         dropped = group.truncate_to(up_to_slot, snapshot)
         return dropped
+
+    def logs_consistent(self, shard_id: int) -> bool:
+        """Every up node's log is a prefix of the shard group's chosen sequence."""
+        group = self.group(shard_id)
+        chosen = group.chosen_prefix()
+        for node in group.up_nodes():
+            prefix = [entry for entry in node.entries if entry is not None]
+            if prefix != chosen[: len(prefix)]:
+                return False
+        return True
 
     def node_log_lengths(self, shard_id: int) -> list[int]:
         """Retained entry-list length per node (bounded-log evidence)."""

@@ -188,11 +188,11 @@ class ReplicationConfig:
     #: How long a routed transaction waits for a multiprogramming slot
     #: before giving up (recorded as an ``admission-timeout`` abort).
     admission_timeout_ms: float = 200.0
-    #: Number of certification shards the item keyspace is partitioned
-    #: across.  1 is the paper's single certifier; higher values give each
-    #: shard its own log, fsync pipeline and propagation stream, with a
-    #: deterministic cross-shard merge for multi-shard writesets (see
-    #: ``docs/certifier.md``).
+    #: Number of certification shards (N >= 1) the item keyspace is
+    #: partitioned across, on every backend.  Each shard has its own log,
+    #: fsync pipeline and propagation stream, with a deterministic
+    #: cross-shard merge for multi-shard writesets; 1 is the paper's single
+    #: certifier (see ``docs/certifier.md``).
     certifier_shards: int = 1
     #: Bound on the log records one certifier fsync may cover (``None`` =
     #: unbounded, the seed behaviour).  Models the bounded log buffer of a
@@ -205,9 +205,8 @@ class ReplicationConfig:
     #: During the window that shard accepts no certifications and flushes no
     #: log records (its group is electing and state-transferring a new
     #: leader); transactions touching it stall and drain on recovery.  An
-    #: empty tuple (the default) disables fault injection.  Any non-empty
-    #: schedule is served by the sharded certifier node even at
-    #: ``certifier_shards=1``.
+    #: empty tuple (the default) disables fault injection; shard 0 is the
+    #: whole certifier at ``certifier_shards=1``.
     certifier_crash_schedule: tuple[tuple[int, float, float], ...] = ()
     #: Versions of headroom the certifier keeps below the replicas'
     #: low-water mark when garbage collecting (``None`` = the sim node's

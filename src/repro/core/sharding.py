@@ -42,17 +42,17 @@ therefore certifies, flushes and propagates entirely within one shard; only
 genuinely cross-shard writesets pay the multi-fragment merge.
 
 Durability and propagation stay with the callers (the functional
-:class:`~repro.middleware.sharded_certifier.ShardedCertifierService` and the
-simulated ``SimShardedCertifierNode``), exactly as with the single
-:class:`Certifier`: shards expose their local durable horizons, and
+:class:`~repro.middleware.certifier.CertifierService` and the simulated
+:class:`~repro.cluster.nodes.SimCertifierNode`): shards expose their local durable horizons, and
 :meth:`ShardedCertifier.advance_durable_frontier` converts them into the
 contiguous global frontier in whose order full writesets are handed to the
 per-shard streams (see :class:`repro.transport.MergedSubscription` for the
 replica-side merge).
 
 With ``num_shards=1`` every mapping is the identity and the behaviour is
-equivalent to the seed certifier decision for decision, version for version
-— the property test in ``tests/test_property_certifier_index.py`` pins this.
+equivalent to the seed :class:`Certifier` decision for decision, version for
+version — the property tests in ``tests/test_property_certifier_index.py``
+pin this, with the seed certifier as the oracle.
 """
 
 from __future__ import annotations
@@ -920,8 +920,7 @@ class ShardedCertifier:
         :class:`~repro.errors.RecoveryError` rather than silently renumbering
         history.  ``base_version`` supports rebuilding from a *pruned*
         source (a live service's retained directory, see
-        :meth:`~repro.middleware.sharded_certifier.ShardedCertifierService.
-        export_rounds`): everything at or below it behaves as garbage
+        :meth:`~repro.middleware.certifier.CertifierService.export_rounds`): everything at or below it behaves as garbage
         collected.  ``pruned_to`` restores the GC low-water horizon (replayed
         GC markers); ``record_hook`` is invoked with each commit version
         before it is installed — the ``mid-directory-rebuild`` fault-injection

@@ -12,10 +12,8 @@ protocol of :mod:`repro.live.wire` over asyncio TCP:
 
 ``scheduler``
     The certification coordinator and cluster front door.  Hosts the
-    *unmodified* functional certifier service (:func:`make_certifier_service`
-    — the seed :class:`CertifierService` at one shard, the
-    :class:`ShardedCertifierService` above that), with each shard's log
-    device replaced by a :class:`~repro.live.wal.RemoteWalDevice` pointed at
+    *unmodified* functional :class:`CertifierService` (one pipeline per
+    certification shard, N >= 1), with each shard's log device replaced by a :class:`~repro.live.wal.RemoteWalDevice` pointed at
     a certifier-shard process.  Adds the **exactly-once transaction table**:
     every client commit carries a ``tx_id``; the admit outcome is recorded
     under it, a duplicate ``certify`` is answered from the record instead of
@@ -312,8 +310,7 @@ class SchedulerRole:
     def __init__(self, args: argparse.Namespace) -> None:
         from repro.core.group_commit import GroupCommitStats
         from repro.live.wal import RemoteWalDevice
-        from repro.middleware.certifier import CertifierConfig
-        from repro.middleware.sharded_certifier import make_certifier_service
+        from repro.middleware.certifier import CertifierConfig, CertifierService
 
         spec = _load_spec(args)
         cert = spec.get("certifier", {})
@@ -357,17 +354,14 @@ class SchedulerRole:
         if self.replicated:
             from repro.live.replicated import LiveReplicatedCertifierService
 
-            # Always the sharded service, even at one shard: the seed
-            # CertifierService has no failover hooks, and the single-shard
-            # sharded core is decision-equivalent to it.
+            # The service's WAL payloads become full round entries a standby
+            # can rebuild from.
             self.service = LiveReplicatedCertifierService(
                 config, log_devices=list(self.devices))
             if self.standby:
                 self._seed_from_primary(getattr(args, "primary", None), config)
-        elif config.shards == 1:
-            self.service = make_certifier_service(config, log_device=self.devices[0])
         else:
-            self.service = make_certifier_service(config, log_devices=list(self.devices))
+            self.service = CertifierService(config, log_devices=list(self.devices))
         self.wedge_before_certify_round = args.wedge_before_certify_round
         self.wedge_after_certify_round = args.wedge_after_certify_round
         self.certify_rounds = 0

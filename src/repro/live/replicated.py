@@ -6,7 +6,7 @@ rebuilding the certifier after the scheduler process dies.  This module
 closes that gap with two pieces:
 
 :class:`LiveReplicatedCertifierService`
-    A :class:`~repro.middleware.sharded_certifier.ShardedCertifierService`
+    A :class:`~repro.middleware.certifier.CertifierService`
     whose shard WAL payloads are full JSON-encoded
     :class:`~repro.consensus.sharded.ShardLogEntry` records — writeset,
     touched-shard set, origin replica, certified-back horizon and the
@@ -49,8 +49,7 @@ from repro.core.certification import CertificationRequest, CertificationResult
 from repro.core.sharding import Partitioner
 from repro.errors import ReproError
 from repro.live.codec import decode_shard_log_entry, encode_shard_log_entry
-from repro.middleware.certifier import CertifierConfig
-from repro.middleware.sharded_certifier import ShardedCertifierService
+from repro.middleware.certifier import CertifierConfig, CertifierService
 from repro.recovery.sharded_recovery import (
     ShardedCertifierRecoveryReport,
     recover_sharded_certifier,
@@ -67,14 +66,11 @@ def decode_entry_payload(payload: bytes) -> ShardLogEntry:
     return decode_shard_log_entry(json.loads(payload.decode("utf-8")))
 
 
-class LiveReplicatedCertifierService(ShardedCertifierService):
-    """A sharded certifier service whose WAL payloads rebuild the scheduler.
+class LiveReplicatedCertifierService(CertifierService):
+    """A certifier service whose WAL payloads rebuild the scheduler.
 
-    Used by the live scheduler when ``live.scheduler_standby`` is on — at
-    *any* shard count, including one: the seed
-    :class:`~repro.middleware.certifier.CertifierService` has no failover
-    hooks, and the single-shard sharded service is decision-equivalent to
-    it (``tests/test_property_certify_batch.py`` pins that).
+    Used by the live scheduler when ``live.scheduler_standby`` is on, at any
+    shard count.
     """
 
     def __init__(
@@ -109,34 +105,18 @@ class LiveReplicatedCertifierService(ShardedCertifierService):
         """`certify_batch` with the version→tx_id map populated between
         admit and flush, so `_flush_shard` can stamp each entry.
 
-        Mirrors :meth:`ShardedCertifierService.certify_batch` exactly —
-        same decisions, same enqueue/flush/GC cadence — the only addition
-        is the tx bookkeeping the durable entries need.
+        Same decisions and the same enqueue/flush/GC cadence as
+        :meth:`CertifierService.certify_batch`; the only addition is the tx
+        bookkeeping the durable entries need.
         """
         before = self.core.certification_requests
         outcomes = self.core.certify_batch(requests)
-        touched: set[int] = set()
         for outcome, tx_id in zip(outcomes, tx_ids):
-            if (isinstance(outcome, CertificationResult) and outcome.committed
-                    and outcome.tx_commit_version is not None):
-                if tx_id is not None:
-                    self._tx_for_version[outcome.tx_commit_version] = tx_id
-                record = self.core.record_at(outcome.tx_commit_version)
-                for shard_id, local in record.shard_locals:
-                    self._batchers[shard_id].enqueue(
-                        (outcome.tx_commit_version, local))
-                    touched.add(shard_id)
-        if touched:
-            if self.config.durability_enabled:
-                self.flush(shard_ids=sorted(touched))
-            else:
-                self._propagate_up_to(self.core.last_version)
-        interval = self.config.gc_interval_requests
-        if interval > 0 and (before // interval
-                             != self.core.certification_requests // interval):
-            if not self.config.durability_enabled:
-                self.flush()
-            self.collect_garbage()
+            if (tx_id is not None and isinstance(outcome, CertificationResult)
+                    and outcome.committed and outcome.tx_commit_version is not None):
+                self._tx_for_version[outcome.tx_commit_version] = tx_id
+        self._release(outcomes)
+        self._maybe_collect_garbage(before)
         return outcomes
 
     def certify(self, request: CertificationRequest) -> CertificationResult:

@@ -10,17 +10,13 @@ order to the database; everything else is shared.
 Clients attach either pinned (``ReplicatedSystem.session``, the paper's
 static assignment) or routed through the cluster scheduler
 (``ReplicatedSystem.routed_session``, see :mod:`repro.balancer` and
-``docs/scheduler.md``).  The certifier front-end is either the paper's
-single :class:`CertifierService` or, with ``certifier_shards > 1``, the
-:class:`ShardedCertifierService` (``docs/certifier.md``).  The layer map is
-in ``docs/architecture.md``.
+``docs/scheduler.md``).  The certifier front-end is one
+:class:`CertifierService` over ``certifier_shards`` (N >= 1) certification
+shards; N = 1 is the paper's single certifier (``docs/certifier.md``).  The
+layer map is in ``docs/architecture.md``.
 """
 
 from repro.middleware.certifier import CertifierService
-from repro.middleware.sharded_certifier import (
-    ShardedCertifierService,
-    make_certifier_service,
-)
 from repro.middleware.proxy import CommitOutcome, ProxyTransaction, TransparentProxy
 from repro.middleware.replica import Replica
 from repro.middleware.client_api import ClientSession
@@ -39,10 +35,8 @@ __all__ = [
     "ProxyTransaction",
     "Replica",
     "ReplicatedSystem",
-    "ShardedCertifierService",
     "TransparentProxy",
     "build_base_system",
-    "make_certifier_service",
     "build_replicated_system",
     "build_tashkent_api_system",
     "build_tashkent_mw_system",

@@ -86,11 +86,10 @@ class ProxyStats:
 class TransparentProxy:
     """The replication proxy attached to one database replica.
 
-    ``certifier`` is either certifier front-end — the single
-    :class:`CertifierService` or a :class:`~repro.middleware.
-    sharded_certifier.ShardedCertifierService`; the proxy only uses the
-    shared surface (certify / subscribe / refresh / horizon extension), so
-    it is oblivious to the sharding.
+    ``certifier`` is a :class:`CertifierService` at any shard count (or a
+    live client speaking to one); the proxy only uses its certify /
+    subscribe / refresh / horizon-extension surface, so it is oblivious to
+    the sharding.
     """
 
     def __init__(
@@ -427,8 +426,7 @@ class TransparentProxy:
         """
         # Bounded staleness overrides the batching policy: deliver whatever
         # the certifier has released, even a sub-cap/sub-window tail the
-        # policy would keep holding.  (One call on either certifier shape:
-        # the sharded service flushes every shard stream.)
+        # policy would keep holding, on every shard stream.
         self.certifier.flush_propagation()
         # The subscription cursor can trail ``replica_version`` when writesets
         # arrived in-band with a certification response; advancing it first

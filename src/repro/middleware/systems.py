@@ -35,10 +35,6 @@ from repro.middleware.certifier import CertifierConfig, CertifierService
 from repro.middleware.client_api import ClientSession
 from repro.middleware.janitor import JanitorPolicy, MaintenanceJanitor
 from repro.middleware.replica import Replica
-from repro.middleware.sharded_certifier import (
-    ShardedCertifierService,
-    make_certifier_service,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.balancer.session import RoutedSession
@@ -48,14 +44,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ReplicatedSystem:
     """A fully assembled replicated database system.
 
-    ``certifier`` is the single :class:`CertifierService` when
-    ``config.certifier_shards == 1`` (the paper's design, byte for byte) and
-    a :class:`ShardedCertifierService` otherwise; both expose the same
-    surface, so everything below is oblivious to the sharding.
+    ``certifier`` is one :class:`CertifierService` over
+    ``config.certifier_shards`` shards (1 is the paper's design); everything
+    below is oblivious to the sharding.
     """
 
     config: ReplicationConfig
-    certifier: CertifierService | ShardedCertifierService
+    certifier: CertifierService
     replicas: list[Replica] = field(default_factory=list)
     #: Lazily built by :meth:`janitor` / :meth:`run_maintenance`.
     _janitor: MaintenanceJanitor | None = field(default=None, repr=False)
@@ -277,7 +272,7 @@ def build_replicated_system(config: ReplicationConfig) -> ReplicatedSystem:
         certifier_config = dataclasses.replace(
             certifier_config, gc_headroom_versions=config.certifier_gc_headroom
         )
-    certifier = make_certifier_service(certifier_config)
+    certifier = CertifierService(certifier_config)
     system = ReplicatedSystem(config=config, certifier=certifier)
     for index in range(config.num_replicas):
         name = f"replica-{index}"

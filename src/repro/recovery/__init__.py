@@ -5,10 +5,8 @@
   from the certifier log), Base / Tashkent-API (the database's own WAL
   recovery, then writeset replay for anything the database lost), and the
   shared writeset-replay step.
-* :mod:`repro.recovery.certifier_recovery` — certifier crash/recovery via
-  state transfer within the replicated group.
-* :mod:`repro.recovery.sharded_recovery` — sharded-certifier coordinator
-  recovery: per-shard leader election, completion of rounds interrupted
+* :mod:`repro.recovery.sharded_recovery` — certifier coordinator recovery
+  (any shard count, one included): per-shard leader election, completion of rounds interrupted
   mid-flush, directory/sequencer reconstruction from the shard groups'
   chosen prefixes, and the recovery report (``docs/recovery.md``).
 * :mod:`repro.recovery.snapshots` — replicated shard snapshots at the GC
@@ -31,7 +29,6 @@ from repro.recovery.replica_recovery import (
     recover_tashkent_mw_replica,
     replay_writesets_from_certifier,
 )
-from repro.recovery.certifier_recovery import recover_certifier_node
 from repro.recovery.sharded_recovery import (
     ShardedCertifierRecoveryReport,
     recover_sharded_certifier,
@@ -64,7 +61,6 @@ __all__ = [
     "compact_certifier",
     "plan_node_bootstrap",
     "recover_base_replica",
-    "recover_certifier_node",
     "recover_sharded_certifier",
     "recover_tashkent_mw_replica",
     "replay_writesets_from_certifier",

@@ -18,14 +18,34 @@ Two database-level paths followed by a shared middleware step:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol, Sequence
 
-from repro.core.certifier_log import CertifierLog
+from repro.core.writeset import WriteSet
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.database import Database
 from repro.engine.recovery import recover_from_checkpoint, recover_from_wal
 from repro.engine.table import TableSchema
 from repro.engine.wal import WriteAheadLog
 from repro.errors import RecoveryError
+
+
+class CommittedRecord(Protocol):
+    """One committed writeset at its global commit version."""
+
+    commit_version: int
+    writeset: WriteSet
+
+
+class CertifiedHistory(Protocol):
+    """What writeset replay reads from the certifier: its GC horizon and the
+    committed records above a version, in global order.  Both the certifier
+    core (:class:`~repro.core.sharding.ShardedCertifier`, any shard count)
+    and a seed :class:`~repro.core.certifier_log.CertifierLog` provide it."""
+
+    @property
+    def pruned_version(self) -> int: ...
+
+    def records_after(self, after_version: int) -> Sequence[CommittedRecord]: ...
 
 
 @dataclass
@@ -42,7 +62,7 @@ class RecoveryReport:
         return self.database.current_version
 
 
-def replay_writesets_from_certifier(database: Database, certifier_log: CertifierLog,
+def replay_writesets_from_certifier(database: Database, certifier_log: CertifiedHistory,
                                     *, after_version: int | None = None) -> int:
     """Apply every certified writeset the database is missing, in global order.
 
@@ -72,7 +92,7 @@ def replay_writesets_from_certifier(database: Database, certifier_log: Certifier
     return replayed
 
 
-def recover_tashkent_mw_replica(checkpoints: CheckpointStore, certifier_log: CertifierLog) -> RecoveryReport:
+def recover_tashkent_mw_replica(checkpoints: CheckpointStore, certifier_log: CertifiedHistory) -> RecoveryReport:
     """Tashkent-MW replica recovery: latest valid dump + writeset replay."""
     database = recover_from_checkpoint(checkpoints, synchronous_commit=False)
     checkpoint_version = database.current_version
@@ -86,7 +106,7 @@ def recover_tashkent_mw_replica(checkpoints: CheckpointStore, certifier_log: Cer
 
 
 def recover_base_replica(wal: WriteAheadLog, schemas: list[TableSchema],
-                         certifier_log: CertifierLog, *, database_name: str = "db",
+                         certifier_log: CertifiedHistory, *, database_name: str = "db",
                          synchronous_commit: bool = True) -> RecoveryReport:
     """Base / Tashkent-API replica recovery: WAL redo + writeset replay."""
     database = recover_from_wal(

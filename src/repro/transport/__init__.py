@@ -22,7 +22,7 @@ uses which policy.
 """
 
 from repro.transport.bus import BusStats, BusSubscription, Message, MessageBus
-from repro.transport.merged import MergedSubscription
+from repro.transport.merged import MergedSubscription, subscribe_streams
 from repro.transport.policy import (
     ExplicitFlushPolicy,
     FlushPolicy,
@@ -35,6 +35,7 @@ from repro.transport.stream import (
     WRITESETS_TOPIC,
     WritesetStream,
     WritesetSubscription,
+    propagate_committed,
 )
 
 __all__ = [
@@ -52,4 +53,6 @@ __all__ = [
     "WritesetStream",
     "WritesetSubscription",
     "policy_from_name",
+    "propagate_committed",
+    "subscribe_streams",
 ]

@@ -26,10 +26,42 @@ consumer surface (``poll`` / ``poll_flat`` / ``advance_to`` / ``close`` /
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.certification import RemoteWriteSetInfo
-from repro.transport.stream import WritesetSubscription
+from repro.transport.stream import WritesetStream, WritesetSubscription
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.sharding import ShardedCertifier
+
+
+def subscribe_streams(
+    certifier: "ShardedCertifier",
+    streams: Sequence[WritesetStream],
+    name: str,
+    *,
+    from_version: int = 0,
+) -> "WritesetSubscription | MergedSubscription":
+    """Subscribe replica ``name`` to a certifier's per-shard streams behind
+    one version-ordered view.
+
+    The one recipe both certifier front-ends use.  It enrols the replica in
+    the certifier's log-GC low-water-mark protocol (an idle subscriber never
+    has its log suffix pruned) and backfills the view with every record
+    after ``from_version``, so a late joiner starts complete.  A single
+    stream is already version ordered, so its own subscription is the view
+    — and it keeps the stream's batch boundaries (one delivery per fsync
+    group, the paper's propagation unit).  Several streams are merged by a
+    :class:`MergedSubscription`.
+    """
+    certifier.note_replica_version(name, from_version)
+    backfill = certifier.fetch_remote_writesets(from_version, replica=name)
+    if len(streams) == 1:
+        return streams[0].subscribe(name, from_version=from_version,
+                                    backfill=backfill)
+    parts = [stream.subscribe(name, from_version=from_version) for stream in streams]
+    return MergedSubscription(parts, from_version=from_version, name=name,
+                              backfill=backfill)
 
 
 class MergedSubscription:

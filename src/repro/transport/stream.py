@@ -26,14 +26,13 @@ Both stacks use this class unchanged:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.core.certification import RemoteWriteSetInfo
 from repro.core.group_commit import GroupCommitBatcher, GroupCommitStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.certification import Certifier
-    from repro.core.certifier_log import CertifierLog
+    from repro.core.sharding import ShardedCertifier
 from repro.transport.bus import BusSubscription, Message, MessageBus
 from repro.transport.policy import ExplicitFlushPolicy, FlushPolicy
 
@@ -172,30 +171,6 @@ class WritesetStream:
             delivered += self.offer(info, now=now)
         return delivered
 
-    def offer_log_record(self, log: "CertifierLog", commit_version: int, *,
-                         now: float = 0.0) -> bool:
-        """Offer the certifier log record at ``commit_version`` exactly once.
-
-        The stream's ``offered_version`` high-water mark is the idempotence
-        guard, shared by both certifier front-ends (the functional service
-        and the simulated node), so re-walking a flush batch never
-        double-propagates.  Returns False when the version was already
-        offered.
-        """
-        if commit_version <= self.offered_version:
-            return False
-        record = log.record_at(commit_version)
-        self.offer(
-            RemoteWriteSetInfo(
-                commit_version=commit_version,
-                writeset=record.writeset,
-                origin_replica=record.origin_replica,
-                conflict_free_back_to=log.certified_back_to(commit_version),
-            ),
-            now=now,
-        )
-        return True
-
     def flush(self, *, now: float = 0.0) -> list[list[RemoteWriteSetInfo]]:
         """Cut every pending writeset into batches and publish them.
 
@@ -211,27 +186,6 @@ class WritesetStream:
             batches.append(batch)
         self._oldest_enqueued_at = None
         return batches
-
-    def propagate_from_log(self, log: "CertifierLog", versions: Iterable[int], *,
-                           now: float = 0.0, aligned: bool = True) -> int:
-        """Offer a group of certifier log records and cut batches.
-
-        The one sequence both certifier front-ends use after releasing
-        commit decisions: with ``aligned`` (the default, no custom policy)
-        the whole group is published as a single batch boundary — e.g. a
-        durability fsync group propagates as exactly one delivery; otherwise
-        the configured policy decides via :meth:`flush_due`.  Returns the
-        number of records newly offered.
-        """
-        offered = 0
-        for version in sorted(versions):
-            if self.offer_log_record(log, version, now=now):
-                offered += 1
-        if aligned:
-            self.flush(now=now)
-        else:
-            self.flush_due(now=now)
-        return offered
 
     def flush_due(self, *, now: float = 0.0) -> list[list[RemoteWriteSetInfo]]:
         """Flush only if the policy's window/size trigger has fired."""
@@ -266,23 +220,11 @@ class WritesetStream:
             )
         return subscription
 
-    def attach_replica(self, certifier: "Certifier", replica: str,
-                       from_version: int = 0) -> WritesetSubscription:
-        """Subscribe a replica, backfilled from ``certifier``'s log.
-
-        Also enrols the replica in the certifier's log-GC low-water-mark
-        protocol, so an idle subscriber never has its log suffix pruned.
-        One recipe shared by the functional service and the simulated node.
-        """
-        certifier.note_replica_version(replica, from_version)
-        backfill = certifier.fetch_remote_writesets(from_version, replica=replica)
-        return self.subscribe(replica, from_version=from_version, backfill=backfill)
-
     def detach_replica(self, name: str) -> int:
         """Close every subscription held under ``name``.
 
-        The inverse of :meth:`attach_replica`: a disconnected replica must
-        stop accumulating batches it will never poll.  Returns the number of
+        The inverse of :meth:`subscribe`: a disconnected replica must stop
+        accumulating batches it will never poll.  Returns the number of
         subscriptions closed.
         """
         matching = [s for s in self._subscriptions if s.name == name]
@@ -314,3 +256,46 @@ class WritesetStream:
             f"subscribers={len(self._subscriptions)}, pending={self.pending_count}, "
             f"batches={self.stats.flushes})"
         )
+
+
+def propagate_committed(
+    certifier: "ShardedCertifier",
+    streams: Sequence[WritesetStream],
+    up_to: int | None = None,
+    *,
+    now: float = 0.0,
+    aligned: bool = True,
+) -> None:
+    """Offer committed records up to ``up_to`` to their home streams.
+
+    The one propagation walk both certifier front-ends run after releasing
+    commit decisions (the functional service with no clock, the simulated
+    node at ``now``).  :meth:`ShardedCertifier.take_propagatable
+    <repro.core.sharding.ShardedCertifier.take_propagatable>` owns the
+    frontier-ordered cursor — ``None`` means "whatever is fully durable",
+    so a flush that completes the last outstanding fragment propagates its
+    own records.  Each record goes to its home shard's stream, so every
+    stream carries an ascending (sparse) slice of the commit order and the
+    replica-side :class:`~repro.transport.MergedSubscription` can release
+    contiguous runs.  With ``aligned`` (no custom policy) every touched
+    stream is flushed, so a durability group propagates as one delivery;
+    otherwise each stream's policy decides via :meth:`WritesetStream.flush_due`.
+    """
+    touched: set[int] = set()
+    for record in certifier.take_propagatable(up_to):
+        streams[record.home_shard].offer(
+            RemoteWriteSetInfo(
+                commit_version=record.commit_version,
+                writeset=record.writeset,
+                origin_replica=record.origin_replica,
+                conflict_free_back_to=certifier.certified_back_to(
+                    record.commit_version),
+            ),
+            now=now,
+        )
+        touched.add(record.home_shard)
+    for shard_id in touched:
+        if aligned:
+            streams[shard_id].flush(now=now)
+        else:
+            streams[shard_id].flush_due(now=now)

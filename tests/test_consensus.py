@@ -1,11 +1,10 @@
-"""Tests for Paxos, the replicated log and the replicated certifier group."""
+"""Tests for Paxos, the replicated log and the replicated certifier groups."""
 
 import pytest
 
-from repro.consensus.group import ReplicatedCertifierGroup
 from repro.consensus.log import ReplicatedLog, ReplicatedLogNode
 from repro.consensus.paxos import Acceptor, Ballot, PaxosInstance, Proposer
-from repro.consensus.sharded import ShardPaxosGroups
+from repro.consensus.sharded import ReplicatedShardedCertifier, ShardPaxosGroups
 from repro.core.certification import CertificationRequest
 from repro.core.writeset import make_writeset
 from repro.errors import (
@@ -156,65 +155,69 @@ def test_shard_groups_validate_and_reject_unknown_ids():
     assert "shards=2" in repr(groups)
 
 
-# ----------------------------------------------------------------- replicated certifier group
+# ------------------------------------------------- replicated certifier (one shard group)
 
-def certify(group, key, start=0):
-    return group.certify(
+def certify(certifier, key, start=0):
+    return certifier.certify(
         CertificationRequest(tx_start_version=start, writeset=make_writeset([("t", key)]),
                              replica_version=start)
     )
 
 
+def replicated_certifier():
+    """The paper's replicated certifier: one log behind one 3-node group."""
+    return ReplicatedShardedCertifier(num_shards=1, nodes_per_shard=3)
+
+
 def test_group_certifies_and_replicates_to_majority():
-    group = ReplicatedCertifierGroup(3)
-    result = certify(group, "a")
+    certifier = replicated_certifier()
+    result = certify(certifier, "a")
     assert result.committed
-    assert group.logs_consistent()
-    assert group.node_log_length(0) == 1
-    assert group.node_log_length(1) == 1
-    assert group.certifier.log.durable_version == 1
+    assert certifier.groups.logs_consistent(0)
+    assert certifier.groups.node_log_lengths(0)[:2] == [1, 1]
+    assert certifier.core.durable_version == 1
 
 
 def test_group_makes_progress_with_one_node_down():
-    group = ReplicatedCertifierGroup(3)
-    group.crash_node(2)
-    assert certify(group, "a").committed
-    assert group.up_count() == 2
+    certifier = replicated_certifier()
+    certifier.groups.crash_node(0, 2)
+    assert certify(certifier, "a").committed
+    assert certifier.groups.up_count(0) == 2
 
 
 def test_group_refuses_updates_without_majority():
-    group = ReplicatedCertifierGroup(3)
-    group.crash_node(1)
-    group.crash_node(2)
+    certifier = replicated_certifier()
+    certifier.groups.crash_node(0, 1)
+    certifier.groups.crash_node(0, 2)
     with pytest.raises(QuorumUnavailableError):
-        certify(group, "a")
+        certify(certifier, "a")
 
 
 def test_leader_crash_triggers_election_and_continues():
-    group = ReplicatedCertifierGroup(3)
-    certify(group, "a")
-    group.crash_node(group.leader_id)
-    result = certify(group, "b", start=1)
+    certifier = replicated_certifier()
+    certify(certifier, "a")
+    certifier.groups.crash_leader(0)
+    result = certify(certifier, "b", start=1)
     assert result.committed
-    assert group.stats.leader_changes == 1
-    assert group.logs_consistent()
+    assert certifier.groups.stats[0].leader_changes == 1
+    assert certifier.groups.logs_consistent(0)
 
 
 def test_recovered_node_catches_up_with_missed_records():
-    group = ReplicatedCertifierGroup(3)
-    certify(group, "a")
-    group.crash_node(2)
-    certify(group, "b", start=1)
-    certify(group, "c", start=2)
-    transferred = group.recover_node(2)
+    certifier = replicated_certifier()
+    certify(certifier, "a")
+    certifier.groups.crash_node(0, 2)
+    certify(certifier, "b", start=1)
+    certify(certifier, "c", start=2)
+    transferred = certifier.groups.recover_node(0, 2)
     assert transferred == 2
-    assert group.node_log_length(2) == 3
-    assert group.logs_consistent()
+    assert certifier.groups.node_log_lengths(0)[2] == 3
+    assert certifier.groups.logs_consistent(0)
 
 
 def test_conflicts_still_abort_through_the_group():
-    group = ReplicatedCertifierGroup(3)
-    assert certify(group, "x").committed
-    assert not certify(group, "x").committed
+    certifier = replicated_certifier()
+    assert certify(certifier, "x").committed
+    assert not certify(certifier, "x").committed
     # Aborted transactions are never replicated.
-    assert group.node_log_length(0) == 1
+    assert certifier.groups.node_log_lengths(0)[0] == 1

@@ -10,9 +10,8 @@ from repro.engine.database import Database
 from repro.engine.rows import LegacyVersionedRow, RowVersion, VersionedRow
 from repro.engine.table import Table, TableSchema
 from repro.errors import ConfigurationError, StorageError
-from repro.middleware.certifier import CertifierConfig
+from repro.middleware.certifier import CertifierConfig, CertifierService
 from repro.middleware.janitor import JanitorPolicy, MaintenanceJanitor
-from repro.middleware.sharded_certifier import make_certifier_service
 from repro.middleware.systems import build_tashkent_mw_system
 
 
@@ -302,7 +301,7 @@ def test_janitor_with_unknown_horizon_uses_local_snapshots_only():
 
 @pytest.mark.parametrize("shards", [1, 2])
 def test_replication_horizon_tracks_low_water_minus_headroom(shards):
-    service = make_certifier_service(
+    service = CertifierService(
         CertifierConfig(shards=shards, gc_headroom_versions=10))
     assert service.replication_horizon() == 0  # no replica reported yet
     service.register_replica("r1", 500)
@@ -313,7 +312,7 @@ def test_replication_horizon_tracks_low_water_minus_headroom(shards):
 
 
 def test_replication_horizon_never_negative():
-    service = make_certifier_service(CertifierConfig(gc_headroom_versions=100))
+    service = CertifierService(CertifierConfig(gc_headroom_versions=100))
     service.register_replica("r1", 5)
     assert service.replication_horizon() == 0
 

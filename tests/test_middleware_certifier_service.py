@@ -20,7 +20,7 @@ def test_commit_decisions_are_durable_before_release():
     service = CertifierService()
     result = service.certify(request(["a"]))
     assert result.committed
-    assert service.log.durable_version == 1
+    assert service.core.durable_version == 1
     assert service.fsync_count == 1
 
 
@@ -29,10 +29,10 @@ def test_durability_disabled_skips_the_critical_path_flush():
     result = service.certify(request(["a"]))
     assert result.committed
     assert service.fsync_count == 0
-    assert service.log.durable_version == 0
+    assert service.core.durable_version == 0
     # A later explicit flush (off the critical path) makes it durable.
     assert service.flush() == 1
-    assert service.log.durable_version == 1
+    assert service.core.durable_version == 1
 
 
 def test_flush_groups_all_pending_writesets():
@@ -101,10 +101,10 @@ def test_automatic_gc_bounds_the_log():
         version = service.system_version
         service.certify(request([f"k{i}"], start=version, replica_version=version))
     # The replica reported up to version 99; GC keeps the headroom suffix.
-    assert service.log.last_version == 100
-    assert service.log.pruned_version > 0
-    assert service.log.retained_count <= 100 - service.log.pruned_version
-    assert service.log.pruned_version >= 100 - 5 - 10 - 1
+    assert service.core.last_version == 100
+    assert service.core.pruned_version > 0
+    assert service.core.retained_count <= 100 - service.core.pruned_version
+    assert service.core.pruned_version >= 100 - 5 - 10 - 1
     # Decisions above the horizon are unaffected.
     version = service.system_version
     result = service.certify(request(["k99"], start=version - 1, replica_version=version))
@@ -123,9 +123,9 @@ def test_gc_still_runs_with_durability_disabled():
     for i in range(40):
         version = service.system_version
         service.certify(request([f"k{i}"], start=version, replica_version=version))
-    assert service.log.durable_version > 0  # lazily flushed off the critical path
-    assert service.log.pruned_version > 0  # ...which unblocks GC
-    assert service.log.retained_count < 40
+    assert service.core.durable_version > 0  # lazily flushed off the critical path
+    assert service.core.pruned_version > 0  # ...which unblocks GC
+    assert service.core.retained_count < 40
 
 
 def test_idle_registered_replica_blocks_gc():
@@ -135,7 +135,7 @@ def test_idle_registered_replica_blocks_gc():
     for i in range(50):
         version = service.system_version
         service.certify(request([f"k{i}"], start=version, replica_version=version))
-    assert service.log.pruned_version == 0  # the idle replica pins the log
+    assert service.core.pruned_version == 0  # the idle replica pins the log
     service.disconnect_replica("idle-replica")
     service.collect_garbage()
-    assert service.log.pruned_version > 0
+    assert service.core.pruned_version > 0

@@ -89,7 +89,7 @@ def test_fsync_accounting_separates_the_three_designs():
     # Durability never disappears: the certifier logs in all three designs.
     assert mw_fsyncs["certifier"] > 0
     assert base_fsyncs["certifier"] > 0
-    assert mw_system.certifier.log.durable_version == mw_system.certifier.system_version
+    assert mw_system.certifier.core.durable_version == mw_system.certifier.system_version
 
 
 def test_checkpoint_all_and_stats_snapshot():

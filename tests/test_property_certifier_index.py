@@ -11,13 +11,14 @@ The indexed log additionally runs in ``verify`` mode, so every check is
 *also* cross-validated internally against a scan of the retained records.
 """
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.certification import CertificationRequest, Certifier
 from repro.core.certifier_log import MODE_VERIFY, CertifierLog
 from repro.core.writeset import make_writeset
 from repro.middleware.certifier import CertifierConfig, CertifierService
-from repro.middleware.sharded_certifier import ShardedCertifierService
 
 # A small keyspace keeps both conflicts and re-writes of the same item
 # frequent, which is what stresses the per-item version lists.
@@ -179,13 +180,14 @@ def test_gc_and_crash_keep_index_rebuildable(operations):
 
 
 # ---------------------------------------------------------------------------
-# Sharded certification ≡ the single certifier (decisions and replica state)
+# The certifier service ≡ the seed certifier (decisions and replica state)
 # ---------------------------------------------------------------------------
 #
-# The second tentpole invariant: for any workload, a sharded certifier
-# (shards=N, any N) reaches exactly the same commit/abort decisions, assigns
-# the same commit versions, and delivers the same version-ordered writeset
-# stream to a replica as the seed single-certifier path (shards=1).  The
+# The second tentpole invariant: for any workload, the certifier service at
+# any shard count N >= 1 reaches exactly the same commit/abort decisions,
+# assigns the same commit versions, reports the same remote windows and
+# delivers the same version-ordered writeset stream to a replica as the seed
+# :class:`Certifier` driven the way a durable service drives it.  The
 # workload spans two tables and a small keyspace so writesets routinely
 # straddle shards and conflicts are frequent; garbage collection runs at an
 # aggressive interval so the pruned-window paths are exercised too.
@@ -211,6 +213,40 @@ def _service_config(**overrides):
     return CertifierConfig(**base)
 
 
+class SeedOracle:
+    """The seed :class:`Certifier` behind a synchronous durable log.
+
+    Every commit is durable at once (the service flushes before it answers),
+    GC runs on the service's request cadence with its headroom, and the
+    replica state is rebuilt from the seed log's records in commit order —
+    applied as each commit happens, so later GC never hides one.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.core = Certifier(forced_abort_rate=config.forced_abort_rate,
+                              abort_chooser=random.Random(config.rng_seed).random)
+        self.state: dict = {}
+
+    def certify(self, request):
+        result = self.core.certify(request)
+        if result.committed:
+            version = result.tx_commit_version
+            self.core.log.mark_durable(version)
+            for item_id in self.core.log.record_at(version).writeset.iter_item_ids():
+                self.state[item_id] = version
+        if self.core.certification_requests % self.config.gc_interval_requests == 0:
+            self.collect_garbage()
+        return result
+
+    def collect_garbage(self):
+        self.core.collect_garbage(headroom=self.config.gc_headroom_versions)
+
+    @property
+    def version(self):
+        return self.core.system_version.version
+
+
 def _drain(subscription, state, last_seen):
     """Apply a subscription's delivered writesets to a model replica state.
 
@@ -229,83 +265,75 @@ def _drain(subscription, state, last_seen):
 @given(shard_ops, st.integers(min_value=1, max_value=4))
 @settings(max_examples=80, deadline=None)
 def test_sharded_certifier_matches_single_decisions_and_replica_state(operations, shards):
-    single = CertifierService(_service_config())
-    sharded = ShardedCertifierService(_service_config(shards=shards))
+    oracle = SeedOracle(_service_config())
+    service = CertifierService(_service_config(shards=shards))
 
-    single_sub = single.subscribe_replica("observer", 0)
-    sharded_sub = sharded.subscribe_replica("observer", 0)
-    single_state: dict = {}
-    sharded_state: dict = {}
-    single_seen = sharded_seen = 0
+    subscription = service.subscribe_replica("observer", 0)
+    oracle.core.note_replica_version("observer", 0)
+    state: dict = {}
+    seen = 0
 
     for op in operations:
         kind = op[0]
         if kind == "certify":
             _, entries, fraction = op
             writeset = make_writeset([(f"t{t}", k) for t, k in entries])
-            start = _pick(single.core.log.pruned_version,
-                          single.system_version, fraction)
+            start = _pick(oracle.core.log.pruned_version, oracle.version, fraction)
             request = dict(tx_start_version=start,
-                           replica_version=single.system_version,
+                           replica_version=oracle.version,
                            origin_replica="client")
-            result_single = single.certify(
-                CertificationRequest(writeset=writeset, **request))
-            result_sharded = sharded.certify(
-                CertificationRequest(writeset=writeset, **request))
-            assert result_sharded.committed == result_single.committed
-            assert result_sharded.tx_commit_version == result_single.tx_commit_version
-            assert (result_sharded.conflicting_version
-                    == result_single.conflicting_version)
+            expected = oracle.certify(CertificationRequest(writeset=writeset, **request))
+            result = service.certify(CertificationRequest(writeset=writeset, **request))
+            assert result.committed == expected.committed
+            assert result.tx_commit_version == expected.tx_commit_version
+            assert result.conflicting_version == expected.conflicting_version
             # The merged in-band remote view matches version for version.
-            assert ([i.commit_version for i in result_sharded.remote_writesets]
-                    == [i.commit_version for i in result_single.remote_writesets])
+            assert ([i.commit_version for i in result.remote_writesets]
+                    == [i.commit_version for i in expected.remote_writesets])
         elif kind == "poll":
-            single.flush_propagation()
-            sharded.flush_propagation()
-            single_seen = _drain(single_sub, single_state, single_seen)
-            sharded_seen = _drain(sharded_sub, sharded_state, sharded_seen)
+            service.flush_propagation()
+            seen = _drain(subscription, state, seen)
+            # Everything committed is durable, so a refresh delivers it all.
+            assert seen == subscription.version == oracle.version
             # Feed the observer's watermark so log GC can make progress.
-            single.register_replica("observer", single_sub.version)
-            sharded.register_replica("observer", sharded_sub.version)
+            service.register_replica("observer", seen)
+            oracle.core.note_replica_version("observer", oracle.version)
         elif kind == "gc":
-            single.collect_garbage()
-            sharded.collect_garbage()
-        # The sharded GC horizon must track the single one: the snapshot
-        # strategy above draws from the single service's window.
-        assert sharded.core.pruned_version == single.core.log.pruned_version
-        assert sharded.system_version == single.system_version
+            service.collect_garbage()
+            oracle.collect_garbage()
+        # The GC horizon tracks the seed's: the snapshot strategy above
+        # draws from the seed log's window.
+        assert service.core.pruned_version == oracle.core.log.pruned_version
+        assert service.system_version == oracle.version
 
-    # Final drain: both replicas converge to the identical state.
-    single.flush_propagation()
-    sharded.flush_propagation()
-    single_seen = _drain(single_sub, single_state, single_seen)
-    sharded_seen = _drain(sharded_sub, sharded_state, sharded_seen)
-    assert sharded_seen == single_seen
-    assert sharded_state == single_state
-    assert sharded.core.stats_snapshot().commits == single.core.commits
-    assert sharded.core.stats_snapshot().aborts == single.core.aborts
+    # Final drain: the replica converges to the state rebuilt from the seed log.
+    service.flush_propagation()
+    seen = _drain(subscription, state, seen)
+    assert seen == oracle.version
+    assert state == oracle.state
+    assert service.core.stats_snapshot().commits == oracle.core.commits
+    assert service.core.stats_snapshot().aborts == oracle.core.aborts
 
 
-@given(shard_ops, st.integers(min_value=2, max_value=4),
+@given(shard_ops, st.integers(min_value=1, max_value=4),
        st.floats(min_value=0.1, max_value=0.5))
 @settings(max_examples=25, deadline=None)
 def test_sharded_forced_aborts_match_single(operations, shards, rate):
-    """The §9.5 abort-injection knob fires identically on both shapes: the
-    chooser is consulted at the same decision points with the same RNG."""
-    single = CertifierService(_service_config(forced_abort_rate=rate))
-    sharded = ShardedCertifierService(_service_config(forced_abort_rate=rate,
-                                                      shards=shards))
+    """The §9.5 abort-injection knob fires identically at every shard count:
+    the chooser is consulted at the same decision points with the same RNG."""
+    oracle = SeedOracle(_service_config(forced_abort_rate=rate))
+    service = CertifierService(_service_config(forced_abort_rate=rate, shards=shards))
     for op in operations:
         if op[0] != "certify":
             continue
         _, entries, fraction = op
         writeset = make_writeset([(f"t{t}", k) for t, k in entries])
-        start = _pick(single.core.log.pruned_version, single.system_version, fraction)
+        start = _pick(oracle.core.log.pruned_version, oracle.version, fraction)
         request = dict(tx_start_version=start,
-                       replica_version=single.system_version,
+                       replica_version=oracle.version,
                        origin_replica="client")
-        result_single = single.certify(CertificationRequest(writeset=writeset, **request))
-        result_sharded = sharded.certify(CertificationRequest(writeset=writeset, **request))
-        assert result_sharded.committed == result_single.committed
-        assert result_sharded.forced_abort == result_single.forced_abort
-        assert result_sharded.tx_commit_version == result_single.tx_commit_version
+        expected = oracle.certify(CertificationRequest(writeset=writeset, **request))
+        result = service.certify(CertificationRequest(writeset=writeset, **request))
+        assert result.committed == expected.committed
+        assert result.forced_abort == expected.forced_abort
+        assert result.tx_commit_version == expected.tx_commit_version

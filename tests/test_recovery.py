@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.consensus.group import ReplicatedCertifierGroup
+from repro.consensus.sharded import ReplicatedShardedCertifier
 from repro.core.certification import CertificationRequest
 from repro.core.writeset import make_writeset
 from repro.engine.checkpoint import CheckpointStore
 from repro.engine.database import Database
 from repro.engine.recovery import verify_same_state
 from repro.middleware.certifier import CertifierService
-from repro.recovery.certifier_recovery import recover_certifier_node
 from repro.recovery.replica_recovery import (
     recover_base_replica,
     recover_tashkent_mw_replica,
     replay_writesets_from_certifier,
 )
+from repro.recovery.sharded_recovery import recover_sharded_certifier
 from repro.recovery.timings import RecoveryTimingModel
 
 
@@ -41,17 +41,17 @@ def fresh_db(sync=True):
 def test_replay_writesets_brings_database_to_certifier_version():
     certifier = build_certified_history()
     db = fresh_db()
-    replayed = replay_writesets_from_certifier(db, certifier.log)
+    replayed = replay_writesets_from_certifier(db, certifier.core)
     assert replayed == 6
     assert db.current_version == certifier.system_version
     # Replay is idempotent.
-    assert replay_writesets_from_certifier(db, certifier.log) == 0
+    assert replay_writesets_from_certifier(db, certifier.core) == 0
 
 
 def test_tashkent_mw_recovery_from_dump_plus_replay():
     certifier = build_certified_history(4)
     db = fresh_db(sync=False)
-    replay_writesets_from_certifier(db, certifier.log)
+    replay_writesets_from_certifier(db, certifier.core)
     store = CheckpointStore()
     store.add(db.dump())
     # More commits happen after the dump was taken.
@@ -60,7 +60,7 @@ def test_tashkent_mw_recovery_from_dump_plus_replay():
             CertificationRequest(tx_start_version=i, writeset=make_writeset([("accounts", i)]),
                                  replica_version=i)
         )
-    report = recover_tashkent_mw_replica(store, certifier.log)
+    report = recover_tashkent_mw_replica(store, certifier.core)
     assert report.used_checkpoint_version == 4
     assert report.writesets_replayed == 2
     assert report.final_version == certifier.system_version
@@ -69,11 +69,11 @@ def test_tashkent_mw_recovery_from_dump_plus_replay():
 def test_tashkent_mw_recovery_falls_back_to_older_dump():
     certifier = build_certified_history(3)
     db = fresh_db(sync=False)
-    replay_writesets_from_certifier(db, certifier.log)
+    replay_writesets_from_certifier(db, certifier.core)
     store = CheckpointStore()
     store.add(db.dump())
     store.add(db.dump().corrupted_copy())  # crashed while writing the newer dump
-    report = recover_tashkent_mw_replica(store, certifier.log)
+    report = recover_tashkent_mw_replica(store, certifier.core)
     assert report.final_version == certifier.system_version
 
 
@@ -81,11 +81,11 @@ def test_base_recovery_wal_redo_plus_replay():
     certifier = build_certified_history(5)
     db = fresh_db(sync=True)
     # The replica applied only the first three writesets before crashing.
-    for record in certifier.log.records_between(0, 3):
+    for record in certifier.core.records_after(0)[:3]:
         db.apply_writeset(record.writeset, version=record.commit_version)
     schemas = [t.schema for t in db.tables.values()]
     db.simulate_crash()
-    report = recover_base_replica(db.wal, schemas, certifier.log, database_name="replica")
+    report = recover_base_replica(db.wal, schemas, certifier.core, database_name="replica")
     assert report.recovered_to_version == 3
     assert report.writesets_replayed == 2
     assert report.final_version == 5
@@ -94,29 +94,29 @@ def test_base_recovery_wal_redo_plus_replay():
 def test_recovered_replicas_converge_to_the_same_state():
     certifier = build_certified_history(6)
     healthy = fresh_db()
-    replay_writesets_from_certifier(healthy, certifier.log)
+    replay_writesets_from_certifier(healthy, certifier.core)
 
     store = CheckpointStore()
     crashed = fresh_db(sync=False)
-    replay_writesets_from_certifier(crashed, certifier.log)
+    replay_writesets_from_certifier(crashed, certifier.core)
     store.add(crashed.dump())
-    report = recover_tashkent_mw_replica(store, certifier.log)
+    report = recover_tashkent_mw_replica(store, certifier.core)
     assert verify_same_state(healthy, report.database)
 
 
 def test_replay_works_against_a_pruned_log_when_dump_is_recent_enough():
     certifier = build_certified_history(6)
     db = fresh_db()
-    replay_writesets_from_certifier(db, certifier.log)  # db now at version 6
+    replay_writesets_from_certifier(db, certifier.core)  # db now at version 6
     for i in range(6, 9):
         certifier.certify(
             CertificationRequest(tx_start_version=i,
                                  writeset=make_writeset([("accounts", i)]),
                                  replica_version=i)
         )
-    certifier.log.prune_to(5)  # GC below the replica's version
-    assert certifier.log.pruned_version == 5
-    assert replay_writesets_from_certifier(db, certifier.log) == 3
+    certifier.core.prune_to(5)  # GC below the replica's version
+    assert certifier.core.pruned_version == 5
+    assert replay_writesets_from_certifier(db, certifier.core) == 3
     assert db.current_version == certifier.system_version
 
 
@@ -125,49 +125,51 @@ def test_replay_refuses_a_log_pruned_beyond_the_database():
 
     certifier = build_certified_history(6)
     db = fresh_db()  # never applied anything: version 0
-    certifier.log.prune_to(4)
+    certifier.core.prune_to(4)
     with pytest.raises(RecoveryError):
-        replay_writesets_from_certifier(db, certifier.log)
+        replay_writesets_from_certifier(db, certifier.core)
 
 
 def test_certifier_node_recovery_report():
-    group = ReplicatedCertifierGroup(3)
+    certifier = ReplicatedShardedCertifier(num_shards=1, nodes_per_shard=3)
     for i in range(3):
-        group.certify(
+        certifier.certify(
             CertificationRequest(tx_start_version=i, writeset=make_writeset([("t", i)]),
                                  replica_version=i)
         )
-    group.crash_node(0)  # the leader
-    group.elect_new_leader()
-    group.certify(
+    assert certifier.groups.crash_leader(0) == 0
+    certifier.groups.ensure_leader(0)
+    certifier.certify(
         CertificationRequest(tx_start_version=3, writeset=make_writeset([("t", 99)]),
                              replica_version=3)
     )
-    report = recover_certifier_node(group, 0)
-    assert report.entries_transferred >= 1
+    assert certifier.groups.recover_node(0, 0) >= 1  # state transfer
+    report = recover_sharded_certifier(certifier)
     assert report.group_has_quorum
-    assert group.logs_consistent()
+    assert report.shard_leader_ids == (certifier.groups.leader_id(0),)
+    assert certifier.groups.logs_consistent(0)
 
 
 def test_certifier_recovery_report_carries_the_leaders_gc_horizon():
-    """Regression: the report's ``log_pruned_version`` must reflect the
-    leader's actual GC horizon.  It used to always be 0 because the
-    replicated group had no GC plumbing at all, so a replica planning its
-    catch-up could wrongly conclude that log replay reaches back to
-    version 0 when the records were long pruned."""
-    group = ReplicatedCertifierGroup(3)
+    """Regression: the report's ``pruned_version`` must reflect the
+    certifier's actual GC horizon, so a replica planning its catch-up never
+    concludes that log replay reaches back to version 0 when the records
+    were long pruned."""
+    certifier = ReplicatedShardedCertifier(num_shards=1, nodes_per_shard=3)
     for i in range(6):
-        group.certify(
+        certifier.certify(
             CertificationRequest(tx_start_version=i,
                                  writeset=make_writeset([("t", i)]),
                                  replica_version=i,
                                  origin_replica="replica-0")
         )
-    group.note_replica_version("replica-0", 5)
-    assert group.collect_garbage() == 5
-    group.crash_node(2)
-    report = recover_certifier_node(group, 2)
-    assert report.log_pruned_version == group.certifier.log.pruned_version == 5
+    certifier.note_replica_version("replica-0", 5)
+    assert certifier.collect_garbage() == 5
+    certifier.groups.crash_node(0, 2)
+    certifier.groups.recover_node(0, 2)
+    certifier.crash()
+    report = recover_sharded_certifier(certifier)
+    assert report.pruned_version == certifier.core.pruned_version == 5
     assert report.group_has_quorum
 
 

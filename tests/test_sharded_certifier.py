@@ -1,11 +1,11 @@
-"""Tests for the sharded certifier front-ends in both stacks.
+"""Tests for the certifier front-ends at N >= 1 shards in both stacks.
 
-Covers the functional :class:`ShardedCertifierService` (per-shard fsync
+Covers the functional :class:`CertifierService` (per-shard fsync
 pipelines, merged propagation, disconnect hygiene), the transport-layer
 :class:`MergedSubscription` (deterministic version-ordered merge, held-gap
-release, out-of-band advances) and the simulated
-:class:`SimShardedCertifierNode` (per-shard log devices, release once all
-touched shards flushed, full-cluster runs on every system kind).
+release, out-of-band advances) and the simulated :class:`SimCertifierNode`
+(per-shard log devices, release once all touched shards flushed,
+full-cluster runs on every system kind).
 """
 
 import pytest
@@ -15,11 +15,8 @@ from repro.core.certification import CertificationRequest, RemoteWriteSetInfo
 from repro.core.config import ReplicationConfig, SystemKind, WorkloadName
 from repro.core.writeset import make_writeset
 from repro.errors import ConfigurationError
+from repro.core.certification import Certifier
 from repro.middleware.certifier import CertifierConfig, CertifierService
-from repro.middleware.sharded_certifier import (
-    ShardedCertifierService,
-    make_certifier_service,
-)
 from repro.middleware.systems import build_replicated_system
 from repro.transport import MergedSubscription, WritesetStream
 
@@ -39,23 +36,30 @@ def shard_key(partitioner, shard_id, table="t"):
                 if partitioner.shard_of((table, k)) == shard_id)
 
 
-# ---------------------------------------------------------------------------- factory
+# ---------------------------------------------------------------------------- construction
 
 
-def test_make_certifier_service_picks_implementation():
-    assert isinstance(make_certifier_service(CertifierConfig()), CertifierService)
-    assert isinstance(make_certifier_service(CertifierConfig(shards=1)), CertifierService)
-    sharded = make_certifier_service(CertifierConfig(shards=3))
-    assert isinstance(sharded, ShardedCertifierService)
+def test_no_argument_service_is_the_single_certifier():
+    service = CertifierService()
+    assert service.config == CertifierConfig()
+    assert service.core.num_shards == 1
+    assert len(service.streams) == 1
+    assert len(service.devices) == 1
+    assert service.stats()["shards"] == 1.0
+
+
+def test_service_rejects_bad_shard_counts_and_device_lists():
     with pytest.raises(ConfigurationError):
-        CertifierService(CertifierConfig(shards=2))
+        CertifierService(CertifierConfig(shards=0))
+    with pytest.raises(ConfigurationError):
+        CertifierService(CertifierConfig(shards=2), log_devices=[])
 
 
 # ---------------------------------------------------------------------------- functional service
 
 
 def test_single_shard_commit_costs_one_shard_fsync():
-    service = ShardedCertifierService(CertifierConfig(shards=4))
+    service = CertifierService(CertifierConfig(shards=4))
     key = shard_key(service.core.partitioner, 2)
     result = service.certify(request(service, [("t", key)]))
     assert result.committed
@@ -64,7 +68,7 @@ def test_single_shard_commit_costs_one_shard_fsync():
 
 
 def test_cross_shard_commit_is_durable_on_every_touched_shard():
-    service = ShardedCertifierService(CertifierConfig(shards=2))
+    service = CertifierService(CertifierConfig(shards=2))
     k0 = shard_key(service.core.partitioner, 0)
     k1 = shard_key(service.core.partitioner, 1)
     result = service.certify(request(service, [("t", k0), ("t", k1)]))
@@ -76,7 +80,7 @@ def test_cross_shard_commit_is_durable_on_every_touched_shard():
 
 
 def test_subscriber_sees_version_ordered_merged_stream():
-    service = ShardedCertifierService(CertifierConfig(shards=3))
+    service = CertifierService(CertifierConfig(shards=3))
     subscription = service.subscribe_replica("replica-A", 0)
     for k in range(25):
         assert service.certify(request(service, [("t", k)])).committed
@@ -88,7 +92,7 @@ def test_subscriber_sees_version_ordered_merged_stream():
 
 
 def test_disconnect_closes_every_shard_subscription():
-    service = ShardedCertifierService(CertifierConfig(shards=3))
+    service = CertifierService(CertifierConfig(shards=3))
     service.subscribe_replica("replica-A", 0)
     assert sum(len(list(s.subscriptions())) for s in service.streams) == 3
     service.disconnect_replica("replica-A")
@@ -97,7 +101,7 @@ def test_disconnect_closes_every_shard_subscription():
 
 
 def test_sharded_gc_runs_on_the_request_interval():
-    service = ShardedCertifierService(CertifierConfig(
+    service = CertifierService(CertifierConfig(
         shards=2, gc_interval_requests=8, gc_headroom_versions=2))
     service.register_replica("r0", 0)
     for k in range(32):
@@ -109,14 +113,16 @@ def test_sharded_gc_runs_on_the_request_interval():
 
 def test_stats_dict_matches_single_service_shape():
     single = CertifierService()
-    sharded = ShardedCertifierService(CertifierConfig(shards=2))
+    sharded = CertifierService(CertifierConfig(shards=2))
     assert set(sharded.stats()) == set(single.stats())
+    # Every seed certifier counter is reported under its seed name.
+    assert set(Certifier().stats()) <= set(single.stats())
     assert sharded.stats()["shards"] == 2.0
     assert single.stats()["shards"] == 1.0
 
 
 def test_non_durable_sharded_service_propagates_before_flush():
-    service = ShardedCertifierService(CertifierConfig(shards=2,
+    service = CertifierService(CertifierConfig(shards=2,
                                                       durability_enabled=False))
     subscription = service.subscribe_replica("replica-A", 0)
     assert service.certify(request(service, [("t", 1)])).committed
@@ -206,6 +212,54 @@ def test_sim_sharded_certifier_runs_every_system_kind(system):
     )
 
 
+#: ``run_experiment`` results at ``certifier_shards=1`` (500 ms warmup, 3 s
+#: measured), recorded from the dedicated single-certifier sim node this
+#: code replaced.  One shard must cost exactly what that node cost: shard 0
+#: carries the coordinator's CPU lane and the single certifier's device
+#: names (the disk name keys its fsync-time random stream), and a lone
+#: stream keeps its fsync-group batch boundaries.
+SINGLE_CERTIFIER_POINTS = [
+    ((SystemKind.TASHKENT_MW, WorkloadName.ALL_UPDATES, 4), {
+        "throughput_tps": 1836.0, "abort_rate": 0.0,
+        "mean_response_ms": 21.77475449919254, "p95_response_ms": 28.596962030041595,
+        "completed_transactions": 5508, "certifier_fsyncs": 387.0,
+        "certifier_writesets_per_fsync": 16.599483204134366, "certifier_commits": 6447,
+        "certifier_log_pruned_version": 5842, "certifier_propagation_batches": 387.0}),
+    ((SystemKind.TASHKENT_API, WorkloadName.ALL_UPDATES, 4), {
+        "throughput_tps": 640.0, "abort_rate": 0.0,
+        "mean_response_ms": 62.37283601057832, "p95_response_ms": 80.84840931502004,
+        "completed_transactions": 1920, "certifier_fsyncs": 366.0,
+        "certifier_writesets_per_fsync": 6.131147540983607, "certifier_commits": 2250,
+        "certifier_log_pruned_version": 1386, "certifier_propagation_batches": 366.0}),
+    ((SystemKind.BASE, WorkloadName.TPC_B, 8), {
+        "throughput_tps": 285.0, "abort_rate": 0.19567262464722485,
+        "mean_response_ms": 226.38112671709496, "p95_response_ms": 262.71203522492806,
+        "completed_transactions": 1063, "certifier_fsyncs": 380.0,
+        "certifier_writesets_per_fsync": 2.768421052631579, "certifier_commits": 1054,
+        "certifier_log_pruned_version": 329, "certifier_propagation_batches": 380.0}),
+    ((SystemKind.TASHKENT_API, WorkloadName.TPC_W, 8), {
+        "throughput_tps": 121.66666666666667, "abort_rate": 0.0,
+        "mean_response_ms": 254.3147210052744, "p95_response_ms": 1437.8971681665726,
+        "completed_transactions": 365, "certifier_fsyncs": 77.0,
+        "certifier_writesets_per_fsync": 1.0, "certifier_commits": 77,
+        "certifier_log_pruned_version": 0, "certifier_propagation_batches": 77.0}),
+]
+
+
+@pytest.mark.parametrize("point,expected", SINGLE_CERTIFIER_POINTS,
+                         ids=["mw-allupdates-4", "api-allupdates-4", "base-tpcb-8",
+                              "api-tpcw-8"])
+def test_one_shard_costs_exactly_what_the_single_certifier_cost(point, expected):
+    system, workload, replicas = point
+    result = run_experiment(ExperimentConfig(
+        system=system, workload=workload, num_replicas=replicas,
+        certifier_shards=1, warmup_ms=500.0, measure_ms=3000.0))
+    observed = {name: getattr(result, name, None) for name in expected}
+    observed.update({name: result.utilization[name]
+                     for name in expected if name.startswith("certifier_")})
+    assert observed == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
 def test_sim_sharded_run_is_deterministic():
     first = _sim(SystemKind.TASHKENT_MW, shards=4)
     second = _sim(SystemKind.TASHKENT_MW, shards=4)
@@ -222,15 +276,15 @@ def test_sim_bounded_flush_batch_caps_the_fsync_group():
 
 def test_sim_sharded_node_merges_in_version_order():
     """Drive the sharded node directly and check the replica-side stream."""
-    from repro.cluster.nodes import SimShardedCertifierNode
+    from repro.cluster.nodes import SimCertifierNode
     from repro.sim.kernel import Environment
     from repro.sim.rng import RandomStreams
 
     env = Environment()
     config = ReplicationConfig(system=SystemKind.TASHKENT_MW, num_replicas=1,
                                certifier_shards=3)
-    node = SimShardedCertifierNode(env, config, RandomStreams(1),
-                                   durability_enabled=True)
+    node = SimCertifierNode(env, config, RandomStreams(1),
+                            durability_enabled=True)
     node.register_replica("replica-0")
     results = []
 

@@ -6,7 +6,7 @@ commit versions, every shard's local↔global map agrees with the directory,
 the GC low-water horizon survives the restart, and an interrupted cross-
 shard round resolves deterministically (completed from a surviving fragment
 or aborted wholesale).  Plus the middleware failover hooks: a standby
-:class:`ShardedCertifierService` rebuilt from an exported directory serves
+:class:`CertifierService` rebuilt from an exported directory serves
 re-subscribing replicas from their watermarks.
 """
 
@@ -22,8 +22,7 @@ from repro.core.certification import CertificationRequest
 from repro.core.sharding import CertifierShard, ShardedCertifier
 from repro.core.writeset import make_writeset
 from repro.errors import RecoveryError
-from repro.middleware.certifier import CertifierConfig
-from repro.middleware.sharded_certifier import ShardedCertifierService
+from repro.middleware.certifier import CertifierConfig, CertifierService
 from repro.recovery.sharded_recovery import recover_sharded_certifier
 
 
@@ -215,7 +214,7 @@ def test_chosen_entries_union_read_survives_leader_holes():
 def test_service_failover_rebuilds_from_exported_rounds():
     config = CertifierConfig(shards=2, durability_enabled=True,
                              gc_interval_requests=0, gc_headroom_versions=0)
-    primary = ShardedCertifierService(config)
+    primary = CertifierService(config)
     subscription = primary.subscribe_replica("replica-0", 0)
     state: dict = {}
     seen = 0
@@ -241,7 +240,7 @@ def test_service_failover_rebuilds_from_exported_rounds():
 
     # The primary dies; a standby is rebuilt from the exported directory.
     core = ShardedCertifier.rebuild(2, rounds, base_version=base)
-    standby = ShardedCertifierService.from_recovered_core(core, config=config)
+    standby = CertifierService.from_recovered_core(core, config=config)
     assert standby.system_version == primary.system_version
     assert standby.core.pruned_version == base
 

@@ -491,16 +491,16 @@ def test_gc_headroom_knob_defaults_and_validation():
 
 
 def test_sim_config_threads_gc_headroom_to_node():
-    from repro.cluster.nodes import SimCertifierNode, SimShardedCertifierNode
+    from repro.cluster.nodes import SimCertifierNode
     from repro.core.config import ReplicationConfig
     from repro.sim.kernel import Environment
     from repro.sim.rng import RandomStreams
 
     config = ReplicationConfig(certifier_shards=2, certifier_gc_headroom=7)
-    node = SimShardedCertifierNode(Environment(), config, RandomStreams(1),
-                                   durability_enabled=True)
+    node = SimCertifierNode(Environment(), config, RandomStreams(1),
+                            durability_enabled=True)
     assert node.gc_headroom_versions == 7
-    assert SimShardedCertifierNode.gc_headroom_versions == 512  # class default intact
+    assert SimCertifierNode.gc_headroom_versions == 512  # class default intact
     single = SimCertifierNode(Environment(), ReplicationConfig(
         certifier_gc_headroom=9), RandomStreams(1), durability_enabled=True)
     assert single.gc_headroom_versions == 9
@@ -508,12 +508,12 @@ def test_sim_config_threads_gc_headroom_to_node():
 
 
 def test_calibrated_failover_window_tracks_retained_suffix():
-    from repro.cluster.nodes import SimShardedCertifierNode
+    from repro.cluster.nodes import SimCertifierNode
     from repro.core.config import ReplicationConfig
     from repro.sim.kernel import Environment
     from repro.sim.rng import RandomStreams
 
-    node = SimShardedCertifierNode(Environment(), ReplicationConfig(
+    node = SimCertifierNode(Environment(), ReplicationConfig(
         certifier_shards=2), RandomStreams(1), durability_enabled=True)
     assert node.calibrated_failover_window_ms(0) == 0.0
     model = RecoveryTimingModel()
@@ -601,10 +601,9 @@ def test_property_bootstrap_equals_full_replay(count, low_water, headroom):
 # ------------------------------------------------- state-transfer package
 
 def test_state_transfer_package_round_trip():
-    from repro.middleware.certifier import CertifierConfig
-    from repro.middleware.sharded_certifier import ShardedCertifierService
+    from repro.middleware.certifier import CertifierConfig, CertifierService
 
-    service = ShardedCertifierService(CertifierConfig(shards=2))
+    service = CertifierService(CertifierConfig(shards=2))
     service.register_replica("r1")
     for i in range(8):
         version = service.system_version
@@ -615,7 +614,7 @@ def test_state_transfer_package_round_trip():
     package.validate()
     assert package.horizon == service.core.pruned_version
     assert package.size_bytes() > 0
-    standby = ShardedCertifierService.from_state_transfer(
+    standby = CertifierService.from_state_transfer(
         package, partitioner=service.core.partitioner)
     assert standby.system_version == service.system_version
     assert standby.core.pruned_version == service.core.pruned_version
@@ -624,7 +623,7 @@ def test_state_transfer_package_round_trip():
     result = standby.certify(_request([("t0", 99)], standby.system_version))
     assert result.committed
     with pytest.raises(RecoveryError):
-        ShardedCertifierService.from_state_transfer(package.corrupted_copy())
+        CertifierService.from_state_transfer(package.corrupted_copy())
 
 
 def test_state_transfer_package_direct_capture():

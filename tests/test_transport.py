@@ -272,7 +272,7 @@ def test_propagation_policy_is_pluggable_at_the_service():
     # Size-capped batching: 8 writesets arrive as 2 batches of 4.
     assert replica_b.proxy.subscription.pending_batches == 2
     assert replica_b.refresh() == 8
-    assert service.stream.stats.largest_batch == 4
+    assert service.streams[0].stats.largest_batch == 4
 
 
 def test_refresh_delivers_sub_cap_tail_under_any_policy():
@@ -312,14 +312,14 @@ def test_disconnect_replica_closes_stream_subscription():
     service = CertifierService()
     replica_a = build_replica(service, "replica-A")
     build_replica(service, "replica-B")
-    assert service.stream.bus.subscriber_count(service.stream.topic) == 2
+    assert service.streams[0].bus.subscriber_count(service.streams[0].topic) == 2
     service.disconnect_replica("replica-B")
-    assert service.stream.bus.subscriber_count(service.stream.topic) == 1
+    assert service.streams[0].bus.subscriber_count(service.streams[0].topic) == 1
     # Batches published after the disconnect are not retained for B.
     txn = replica_a.proxy.begin()
     replica_a.proxy.insert(txn, "accounts", 1, id=1, balance=1)
     replica_a.proxy.commit(txn)
-    assert all(s.name != "replica-B" for s in service.stream.subscriptions())
+    assert all(s.name != "replica-B" for s in service.streams[0].subscriptions())
 
 
 # ------------------------------------------------------------------- simulated stack
@@ -347,9 +347,9 @@ def test_sim_certifier_announces_durability_over_the_bus():
     assert result.committed
     # The decision was only released after the log-writer's flush announced
     # durability on the bus.
-    assert node.certifier.log.durable_version == 1
+    assert node.core.durable_version == 1
     assert node.fsync_count == 1
-    assert node.stream.stats.flushes == 1
+    assert node.streams[0].stats.flushes == 1
 
 
 def test_sim_propagate_delivers_batches_with_network_delay():
@@ -405,7 +405,7 @@ def test_sim_propagate_flushes_policy_held_tail():
             origin_replica="replica-0",
         )
         env.run_until_complete(env.process(node.certify(request)))
-    assert node.stream.pending_count == 3  # held by the size cap
+    assert node.streams[0].pending_count == 3  # held by the size cap
     remote = env.run_until_complete(env.process(node.propagate("replica-1")))
     assert [info.commit_version for info in remote] == [1, 2, 3]
 
@@ -429,7 +429,7 @@ def test_sim_staleness_refresh_updates_idle_replica():
     env.run_until(200.0)  # a few staleness periods
     assert replica_1.replica_version == 1
     # The refresh also fed the log-GC low-water mark for the idle replica.
-    assert model.certifier_node.certifier.low_water_mark() == 1
+    assert model.certifier_node.core.low_water_mark() == 1
 
 
 def test_experiment_still_runs_end_to_end():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Documentation checks: internal links resolve, runnable examples run.
+"""Documentation checks: links and code names resolve, examples run.
 
-Two passes over ``README.md`` and ``docs/*.md`` (standard library only, so
+Three passes over ``README.md`` and ``docs/*.md`` (standard library only, so
 the CI docs job needs no installs):
 
 1. **Link check** — every markdown link ``[text](target)`` with a relative
@@ -9,7 +9,11 @@ the CI docs job needs no installs):
    (``file.md#section`` or ``#section``) must match a heading's GitHub-style
    anchor in the target file.  External schemes (http/https/mailto) are
    skipped — CI should not fail on someone else's outage.
-2. **Doctest check** — fenced code blocks whose info string is
+2. **Name check** — every backticked dotted ``repro.…`` name in the prose
+   must resolve: the longest importable module prefix is imported and the
+   rest is looked up attribute by attribute, so a renamed or deleted module,
+   class or function cannot linger in the docs.
+3. **Doctest check** — fenced code blocks whose info string is
    ``python doctest`` are executed with the standard :mod:`doctest` runner
    (with ``src`` on ``sys.path``).  Mark an example runnable only when its
    output is deterministic.
@@ -22,6 +26,7 @@ Run as:  PYTHONPATH=src python tools/check_docs.py
 from __future__ import annotations
 
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -33,6 +38,8 @@ if str(SRC) not in sys.path:
 
 #: ``[text](target)`` — target captured up to the closing parenthesis.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+#: A backticked dotted name in the package, e.g. ``repro.recovery.timings``.
+NAME_RE = re.compile(r"`(repro(?:\.\w+)+)`")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 FENCE_RE = re.compile(r"^```(.*)$")
 EXTERNAL_SCHEMES = ("http://", "https://", "mailto:")
@@ -100,6 +107,33 @@ def check_links(files: list[Path]) -> list[str]:
     return errors
 
 
+def resolve_name(dotted: str) -> bool:
+    """Whether ``dotted`` names an importable module or an attribute of one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_names(files: list[Path]) -> tuple[list[str], int]:
+    errors, names = [], set()
+    for md_file in files:
+        rel = md_file.relative_to(REPO_ROOT)
+        for dotted in NAME_RE.findall(strip_fenced_blocks(md_file.read_text())):
+            names.add(dotted)
+            if not resolve_name(dotted):
+                errors.append(f"{rel}: stale name -> {dotted}")
+    return errors, len(names)
+
+
 def runnable_blocks(path: Path) -> list[tuple[int, str]]:
     """``(first_line_number, source)`` of every ``python doctest`` fence."""
     blocks, current, start_line = [], None, 0
@@ -145,14 +179,16 @@ def main() -> int:
         print("check_docs: no documentation files found", file=sys.stderr)
         return 1
     link_errors = check_links(files)
+    name_errors, names_checked = check_names(files)
     doctest_errors, doctests_run = check_doctests(files)
-    for error in link_errors + doctest_errors:
+    for error in link_errors + name_errors + doctest_errors:
         print(f"FAIL {error}")
-    if link_errors or doctest_errors:
-        print(f"check_docs: {len(link_errors)} link / {len(doctest_errors)} "
-              f"doctest failure(s) across {len(files)} file(s)")
+    if link_errors or name_errors or doctest_errors:
+        print(f"check_docs: {len(link_errors)} link / {len(name_errors)} name / "
+              f"{len(doctest_errors)} doctest failure(s) across {len(files)} file(s)")
         return 1
     print(f"check_docs: OK — {len(files)} file(s), links resolve, "
+          f"{names_checked} code name(s) resolve, "
           f"{doctests_run} runnable block(s) passed")
     return 0
 
