@@ -173,10 +173,6 @@ class ReplicationConfig:
     #: Forced system-wide abort rate applied by the certifier after the full
     #: certification check (Section 9.5).  0.0 disables forced aborts.
     forced_abort_rate: float = 0.0
-    #: Enables local certification at the proxy (Section 6.2).
-    local_certification: bool = True
-    #: Enables eager pre-certification / deadlock avoidance (Section 8.2).
-    eager_pre_certification: bool = True
     #: Routing policy name for the cluster scheduler (``None`` keeps the
     #: paper's static client pinning; see :mod:`repro.balancer`).
     routing_policy: str | None = None

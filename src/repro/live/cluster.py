@@ -78,8 +78,6 @@ class LiveCluster:
     def _write_spec(self) -> None:
         spec = {
             "system": self.config.system.value,
-            "local_certification": self.config.local_certification,
-            "eager_pre_certification": self.config.eager_pre_certification,
             "schemas": [
                 {"name": s.name, "columns": list(s.columns), "primary_key": s.primary_key}
                 for s in self.schemas

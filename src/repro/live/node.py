@@ -847,8 +847,6 @@ class ReplicaRole:
             database,
             self.cert_client,  # quacks like CertifierService for the proxy
             system=system,
-            local_certification=spec.get("local_certification", True),
-            eager_pre_certification=spec.get("eager_pre_certification", True),
         )
         self._session_cls = ClientSession
         #: session id -> ClientSession (the unmodified client API object).

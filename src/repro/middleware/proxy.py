@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 
 from repro.core.artificial_conflicts import ArtificialConflictDetector, SubmissionPlan
 from repro.core.certification import CertificationRequest, CertificationResult, RemoteWriteSetInfo
+from repro.core.certifier_log import CertifierLog, LogRecord
 from repro.core.config import SystemKind
 from repro.core.versions import TransactionVersions, VersionClock
-from repro.core.writeset import WriteSet
+from repro.core.writeset import WriteSet, make_writeset
 from repro.engine.database import Database
 from repro.engine.transaction import EngineTransaction, TransactionStatus
 from repro.errors import CertificationAborted, InvalidTransactionState, TransactionAborted
@@ -90,6 +91,11 @@ class TransparentProxy:
     live client speaking to one); the proxy only uses its certify /
     subscribe / refresh / horizon-extension surface, so it is oblivious to
     the sharding.
+
+    Local certification (Section 6.2) and eager pre-certification
+    (Section 8.2) are the certifier's own indexed checks (hence follow
+    ``REPRO_CERTIFIER_MODE``) on ``proxy_log``, pruned after every commit and
+    refresh to ``min(oldest active snapshot, replica_version)``.
     """
 
     def __init__(
@@ -99,8 +105,6 @@ class TransparentProxy:
         *,
         system: SystemKind = SystemKind.TASHKENT_MW,
         replica_name: str = "replica-0",
-        local_certification: bool = True,
-        eager_pre_certification: bool = True,
     ) -> None:
         if system is SystemKind.STANDALONE:
             raise InvalidTransactionState("a standalone database has no proxy")
@@ -108,12 +112,9 @@ class TransparentProxy:
         self.certifier = certifier
         self.system = system
         self.replica_name = replica_name
-        self.local_certification = local_certification
-        self.eager_pre_certification = eager_pre_certification
         self.replica_version = VersionClock(database.current_version)
-        #: The proxy's local copy of remote writesets seen so far, used for
-        #: local certification (paper calls this the ``proxy_log``).
-        self.proxy_log: list[tuple[int, WriteSet]] = []
+        #: Every writeset applied at the replica (the paper's ``proxy_log``).
+        self.proxy_log = CertifierLog(base_version=database.current_version)
         self.conflict_detector = ArtificialConflictDetector()
         self.stats = ProxyStats()
         # Subscribe to the certifier's writeset stream (which also joins the
@@ -170,18 +171,19 @@ class TransparentProxy:
         transaction's snapshot; a conflict means certification would fail
         anyway, so the transaction aborts immediately, freeing its locks.
         """
-        if not self.eager_pre_certification:
+        effective = txn.versions.effective_start_version
+        if effective >= self.proxy_log.last_version:
             return
-        for commit_version, writeset in self.proxy_log:
-            if commit_version <= txn.versions.effective_start_version:
-                continue
-            if writeset.touches(table, key):
-                self.database.abort(txn.engine_txn, reason="eager-pre-certification")
-                self.stats.eager_precert_aborts += 1
-                raise CertificationAborted(
-                    f"write to {(table, key)!r} conflicts with remote writeset "
-                    f"committed at version {commit_version}"
-                )
+        assert effective >= self.proxy_log.pruned_version
+        probe = make_writeset([(table, key)])
+        commit_version = self.proxy_log.first_conflicting_version(probe, effective)
+        if commit_version is not None:
+            self.database.abort(txn.engine_txn, reason="eager-pre-certification")
+            self.stats.eager_precert_aborts += 1
+            raise CertificationAborted(
+                f"write to {(table, key)!r} conflicts with remote writeset "
+                f"committed at version {commit_version}"
+            )
 
     # ------------------------------------------------------------------ COMMIT
 
@@ -200,8 +202,8 @@ class TransparentProxy:
             return CommitOutcome(committed=True, readonly=True)
 
         # Local certification (Section 6.2): check against remote writesets
-        # already seen, advancing the effective start version as we go.
-        if self.local_certification and not self._locally_certify(txn, writeset):
+        # already seen, advancing the effective start version past them.
+        if not self._locally_certify(txn, writeset):
             self.database.abort(txn.engine_txn, reason="local-certification")
             self.stats.local_certification_aborts += 1
             self.stats.certification_aborts += 1
@@ -229,6 +231,7 @@ class TransparentProxy:
         # trimming the subscription keeps a busy replica's queue bounded even
         # if it never becomes idle enough to refresh.
         self.subscription.advance_to(self.replica_version.version)
+        self._prune_proxy_log()
         return outcome
 
     def abort(self, txn: ProxyTransaction) -> None:
@@ -268,7 +271,7 @@ class TransparentProxy:
                                  remote_writesets_applied=applied)
         self.database.commit(txn.engine_txn, version=commit_version)
         txn.versions.mark_committed(commit_version)
-        self.proxy_log.append((commit_version, writeset))
+        self.proxy_log.append(LogRecord(commit_version, writeset))
         self.replica_version.advance_to(commit_version)
         self.stats.update_commits += 1
         return CommitOutcome(
@@ -293,7 +296,7 @@ class TransparentProxy:
             (info.commit_version, info.writeset) for info in pending
         )
         for info in pending:
-            self.proxy_log.append((info.commit_version, info.writeset))
+            self.proxy_log.append(LogRecord(info.commit_version, info.writeset))
         self.replica_version.advance_to(max_version)
         self.stats.remote_writesets_applied += len(pending)
         self.stats.remote_batches_applied += 1
@@ -336,7 +339,7 @@ class TransparentProxy:
 
         applied = self._apply_plan(plan, local_txn=txn.engine_txn, local_version=commit_version)
         txn.versions.mark_committed(commit_version)
-        self.proxy_log.append((commit_version, writeset))
+        self.proxy_log.append(LogRecord(commit_version, writeset))
         self.replica_version.advance_to(commit_version)
         self.stats.update_commits += 1
         return CommitOutcome(
@@ -366,7 +369,7 @@ class TransparentProxy:
                 remote_txn = self.database.begin()
                 self._buffer_writeset(remote_txn, info.writeset)
                 self.database.commit_ordered(remote_txn, info.commit_version)
-                self.proxy_log.append((info.commit_version, info.writeset))
+                self.proxy_log.append(LogRecord(info.commit_version, info.writeset))
                 applied += 1
                 max_remote_version = max(max_remote_version, info.commit_version)
             if index == last_index and local_txn is not None and local_version is not None:
@@ -397,21 +400,28 @@ class TransparentProxy:
     def _locally_certify(self, txn: ProxyTransaction, writeset: WriteSet) -> bool:
         """Partial certification against the proxy's copy of remote writesets.
 
-        Advances the transaction's effective start version past every remote
-        writeset it does not conflict with, reducing the work at the
-        certifier; returns False when a conflict is found (the transaction
-        can be aborted without a round trip).
+        Returns False when ``writeset`` conflicts with a writeset applied
+        after the transaction's effective start version; the proxy's API never
+        gets there (a remote writeset aborts the row's lock holder, and a later
+        write to the row aborts eagerly).  Otherwise the log holds every version
+        up to ``replica_version``, so the effective start version advances
+        there, reducing the work at the certifier.
         """
         effective = txn.versions.effective_start_version
-        for commit_version, remote_ws in self.proxy_log:
-            if commit_version <= effective:
-                continue
-            if writeset.conflicts_with(remote_ws):
-                return False
-            if commit_version == effective + 1:
-                effective = commit_version
-        txn.versions.advance_effective_start(effective)
+        assert effective >= self.proxy_log.pruned_version
+        if self.proxy_log.conflicts(writeset, effective):
+            return False
+        txn.versions.advance_effective_start(self.proxy_log.last_version)
         return True
+
+    def _prune_proxy_log(self) -> None:
+        """Drop the records no live transaction can still conflict with."""
+        log = self.proxy_log
+        # prune_to stops at the durable horizon; every record here is a
+        # writeset the certifier has already made durable.
+        log.mark_durable(log.last_version)
+        log.prune_to(min(self.database.oldest_active_snapshot(),
+                         self.replica_version.version))
 
     # ------------------------------------------------------------------ bounded staleness
 
@@ -435,12 +445,7 @@ class TransparentProxy:
         self.subscription.advance_to(self.replica_version.version)
         remote = self.subscription.poll_flat()
         self.stats.staleness_refreshes += 1
-        if not remote:
-            # Report the applied watermark even when nothing new arrived, so a
-            # read-mostly replica keeps feeding the certifier's log-GC protocol.
-            self.certifier.register_replica(self.replica_name, self.replica_version.version)
-            return 0
-        if self.system.supports_ordered_commit:
+        if remote and self.system.supports_ordered_commit:
             # Ask the certifier to extend the intersection tests back to this
             # replica's version (the pull protocol's check_back_to), so
             # conflict-free writesets can share one submission group instead
@@ -452,11 +457,13 @@ class TransparentProxy:
             applied = self._apply_plan(plan, local_txn=None, local_version=None)
         else:
             applied = self._apply_remote_serial(remote)
-        # The watermark report happens *after* the batch is applied — a
-        # refresh-only replica must feed its post-apply version to the
-        # certifier's low-water protocol, or it pins GC (and the vacuum
-        # replication horizon) at its pre-refresh version forever.
+        # The watermark is reported even when nothing new arrived, so a
+        # read-mostly replica keeps feeding the certifier's log-GC protocol,
+        # and *after* the batch is applied — a refresh-only replica must feed
+        # its post-apply version, or it pins GC (and the vacuum replication
+        # horizon) at its pre-refresh version forever.
         self.certifier.register_replica(self.replica_name, self.replica_version.version)
+        self._prune_proxy_log()
         return applied
 
     # ------------------------------------------------------------------ helpers

@@ -48,8 +48,6 @@ class Replica:
         certifier: CertifierService,
         *,
         system: SystemKind,
-        local_certification: bool = True,
-        eager_pre_certification: bool = True,
     ) -> None:
         self.name = name
         self.database = database
@@ -59,8 +57,6 @@ class Replica:
             certifier,
             system=system,
             replica_name=name,
-            local_certification=local_certification,
-            eager_pre_certification=eager_pre_certification,
         )
         self.checkpoints = CheckpointStore()
         self.stats = ReplicaStats()
@@ -127,6 +123,8 @@ class Replica:
             "fsyncs": self.fsync_count,
             "database": self.database.stats(),
             "proxy": self.proxy.stats.as_dict(),
+            "proxy_log": {"retained": self.proxy.proxy_log.retained_count,
+                          "pruned_total": self.proxy.proxy_log.pruned_records_total},
             "replica": self.stats.as_dict(),
         }
 

@@ -282,8 +282,6 @@ def build_replicated_system(config: ReplicationConfig) -> ReplicatedSystem:
             database,
             certifier,
             system=config.system,
-            local_certification=config.local_certification,
-            eager_pre_certification=config.eager_pre_certification,
         )
         system.replicas.append(replica)
     return system

@@ -145,6 +145,11 @@ def test_exactly_once_table_counts_every_commit_once(tmp_path):
         assert stats["tx_table_size"] == 11
         assert stats["duplicate_tx_hits"] == 0
         assert stats["wal_resent_batches"] == 0
+        # Every transaction above has ended, so no proxy keeps its log.
+        open_transactions = 0
+        for name in cluster.replicas:
+            proxy_log = cluster.replica_stats(name)["stats"]["proxy_log"]
+            assert proxy_log["retained"] <= open_transactions
 
 
 def test_hot_row_write_write_block_aborts_no_wait(tmp_path):

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.certifier_log import LogRecord
 from repro.core.config import SystemKind
+from repro.core.writeset import make_writeset
 from repro.engine.database import Database
 from repro.errors import CertificationAborted, InvalidTransactionState, TransactionAborted
 from repro.middleware.certifier import CertifierService
@@ -102,7 +104,7 @@ def test_certification_conflict_aborts_second_writer_across_replicas():
     assert outcome_b.abort_reason in ("certification", "local-certification")
 
 
-def test_local_certification_aborts_without_round_trip():
+def test_eager_precertification_aborts_conflicting_write_without_round_trip():
     certifier = CertifierService()
     proxy_a, _ = make_proxy(SystemKind.BASE, certifier, name="replica-A")
     proxy_b, _ = make_proxy(SystemKind.BASE, certifier, name="replica-B")
@@ -124,28 +126,86 @@ def test_local_certification_aborts_without_round_trip():
     assert proxy_b.stats.eager_precert_aborts == 1
 
 
-def test_eager_precertification_can_be_disabled():
+@pytest.mark.parametrize("system", [SystemKind.BASE, SystemKind.TASHKENT_MW, SystemKind.TASHKENT_API])
+def test_local_certification_advances_effective_start_to_replica_version(system):
     certifier = CertifierService()
-    proxy_a, _ = make_proxy(SystemKind.BASE, certifier, name="replica-A")
-    db_b = Database("replica-B")
-    db_b.create_table("accounts", ["id", "balance"])
-    proxy_b = TransparentProxy(db_b, certifier, system=SystemKind.BASE,
-                               replica_name="replica-B", eager_pre_certification=False)
-    proxy_b.refresh()  # pick up A's initial data
-
-    txn_a = proxy_a.begin()
-    proxy_a.update(txn_a, "accounts", 4, balance=9)
-    proxy_a.commit(txn_a)
+    proxy_a, _ = make_proxy(system, certifier, name="replica-A")
+    proxy_b, _ = make_proxy(system, certifier, name="replica-B")
 
     txn_b = proxy_b.begin()
+    for i in range(3):
+        txn_a = proxy_a.begin()
+        proxy_a.update(txn_a, "accounts", i, balance=i)
+        assert proxy_a.commit(txn_a).committed
+    # B refreshes past A's writesets, none of which touch account 4.
     proxy_b.refresh()
-    # With the proxy's eager pre-certification off, the conflict is still
-    # caught — but by the database's own first-updater-wins check (or, had
-    # the row not been applied locally yet, by certification) rather than by
-    # the proxy.
-    with pytest.raises(TransactionAborted):
-        proxy_b.update(txn_b, "accounts", 4, balance=1)
-    assert proxy_b.stats.eager_precert_aborts == 0
+    replica_version = proxy_b.replica_version.version
+    assert replica_version == txn_b.tx_start_version + 3
+    proxy_b.update(txn_b, "accounts", 4, balance=40)
+    outcome = proxy_b.commit(txn_b)
+    assert outcome.committed
+    # The certifier only had to test B's writeset back to B's replica version.
+    assert certifier.core.certified_back_to(outcome.commit_version) == replica_version
+
+
+def test_local_certification_window_starts_after_the_effective_start_version():
+    # The proxy's API never reaches a local-certification abort (a remote
+    # writeset aborts the lock holder; a later write aborts eagerly), so the
+    # records are appended to the proxy's log directly.
+    proxy, certifier = make_proxy(SystemKind.BASE)
+    txn = proxy.begin()
+    proxy.update(txn, "accounts", 3, balance=1)
+    writeset = proxy.database.extract_writeset(txn.engine_txn)
+    effective = txn.versions.effective_start_version
+    proxy.proxy_log.append(LogRecord(effective + 1, make_writeset([("accounts", 3)])))
+    proxy.proxy_log.append(LogRecord(effective + 2, make_writeset([("accounts", 4)])))
+
+    # A conflicting record at exactly the effective start version is outside
+    # the window; the effective start then advances to the log's end.
+    at_edge = proxy.begin()
+    at_edge.versions.advance_effective_start(effective + 1)
+    assert proxy._locally_certify(at_edge, writeset)
+    assert at_edge.versions.effective_start_version == effective + 2
+
+    # One at effective + 1 aborts the commit without a round trip.
+    requests_before = certifier.core.certification_requests
+    outcome = proxy.commit(txn)
+    assert outcome.abort_reason == "local-certification"
+    assert certifier.core.certification_requests == requests_before
+    assert proxy.stats.local_certification_aborts == 1
+
+
+def test_proxy_log_retention_is_bounded_by_the_oldest_open_transaction():
+    certifier = CertifierService()
+    proxy_a, _ = make_proxy(SystemKind.TASHKENT_MW, certifier, name="replica-A")
+    proxy_b, _ = make_proxy(SystemKind.TASHKENT_MW, certifier, name="replica-B")
+    proxies = (proxy_a, proxy_b)
+    for sequence in range(5000):
+        proxy = proxies[sequence % 2]
+        txn = proxy.begin()
+        proxy.update(txn, "accounts", sequence % 5, balance=sequence)
+        assert proxy.commit(txn).committed
+    for proxy in proxies:
+        assert proxy.proxy_log.retained_count <= 1
+
+    # An open transaction pins retention at its snapshot...
+    pinned = proxy_b.begin()
+    snapshot = pinned.tx_start_version
+    for sequence in range(1000):
+        txn = proxy_a.begin()
+        proxy_a.update(txn, "accounts", 0, balance=sequence)
+        assert proxy_a.commit(txn).committed
+        proxy_b.refresh()
+    assert proxy_b.proxy_log.pruned_version == snapshot
+    assert proxy_b.proxy_log.retained_count == 1000
+    # ...so its conflicting write is still aborted eagerly...
+    with pytest.raises(CertificationAborted, match=f"version {snapshot + 1}$"):
+        proxy_b.update(pinned, "accounts", 0, balance=-1)
+    # ...and once it has ended, the next commit prunes.
+    txn = proxy_b.begin()
+    proxy_b.update(txn, "accounts", 1, balance=1)
+    assert proxy_b.commit(txn).committed
+    assert proxy_b.proxy_log.retained_count <= 1
 
 
 def test_bounded_staleness_refresh_pulls_missed_writesets():
